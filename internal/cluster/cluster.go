@@ -216,6 +216,9 @@ type Cluster struct {
 	// partitions are the currently active network splits (topology.go).
 	partitions []*Partition
 
+	// scratch holds PM.resolve's reusable buffers (pm.go).
+	scratch resolveScratch
+
 	tracer   *trace.Tracer
 	auditLog *audit.Log
 	inv      InvariantSink

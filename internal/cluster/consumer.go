@@ -45,6 +45,7 @@ type Consumer struct {
 	alloc      resource.Vector
 	speed      float64
 	completion *sim.Event
+	completeFn func() // c.complete, bound once; see PM.reschedule
 	state      consumerState
 }
 

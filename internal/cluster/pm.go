@@ -210,8 +210,10 @@ func (pm *PM) PowerW() float64 {
 	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*pm.Utilization().Get(resource.CPU)
 }
 
-// allConsumers iterates native consumers and those of every hosted VM.
-func (pm *PM) allConsumers(fn func(c *Consumer)) {
+// EachConsumer calls fn for every consumer on the machine: the native
+// ones first, then each hosted VM's in hosting order. Unlike Consumers and
+// VMs it copies nothing; fn must not start, stop or move consumers.
+func (pm *PM) EachConsumer(fn func(c *Consumer)) {
 	for _, c := range pm.native {
 		fn(c)
 	}
@@ -222,12 +224,20 @@ func (pm *PM) allConsumers(fn func(c *Consumer)) {
 	}
 }
 
+// EachVM calls fn for every hosted VM in hosting order without copying
+// the list; fn must not add, remove or migrate VMs.
+func (pm *PM) EachVM(fn func(vm *VM)) {
+	for _, vm := range pm.vms {
+		fn(vm)
+	}
+}
+
 // settle integrates every consumer's progress at the current speeds up to
 // the present instant. It must run before any state change that affects
 // allocations.
 func (pm *PM) settle() {
 	now := pm.cluster.engine.Now()
-	pm.allConsumers(func(c *Consumer) {
+	pm.EachConsumer(func(c *Consumer) {
 		if c.Work < 0 {
 			c.lastSettle = now
 			return
@@ -266,9 +276,43 @@ func (pm *PM) update() {
 	}
 }
 
+// group is one top-level claimant in PM.resolve: a native consumer, or a
+// running VM together with its members.
+type group struct {
+	members  []*Consumer
+	vm       *VM // nil for native
+	overhead OverheadProfile
+	inflate  resource.Vector
+	weight   float64
+	cap      resource.Vector
+	memCap   float64 // memory available to members
+	rawOff   int     // first of the members' entries in resolveScratch.rawDemands
+}
+
+// resolveScratch holds the working buffers of PM.resolve. A Cluster owns
+// one set for all its PMs: resolve runs no callbacks (watchers fire only
+// after it returns), so no resolve can start while another is using the
+// buffers. One set per PM would pin the buffers of every machine at once.
+type resolveScratch struct {
+	solver resource.Solver
+
+	groups       []group
+	groupDemand  []resource.Vector
+	groupWeights []float64
+	groupCaps    []resource.Vector
+	groupAlloc   []resource.Vector
+	rawDemands   []resource.Vector // every group's members, back to back
+
+	memberWeights []float64
+	memberCaps    []resource.Vector
+	memberAlloc   []resource.Vector
+	selfPenalty   []float64
+}
+
 // resolve computes allocations and speeds for every consumer on the PM.
 func (pm *PM) resolve() {
 	cfg := pm.cluster.cfg
+	sc := &pm.cluster.scratch
 
 	// Count VMs actively demanding disk and network I/O: the Dom-0
 	// backend bottleneck penalizes concurrent virtual I/O streams.
@@ -292,18 +336,6 @@ func (pm *PM) resolve() {
 	diskInflate := 1 + cfg.IOContentionPerVM*float64(max(kDisk-1, 0))
 	netInflate := 1 + cfg.IOContentionPerVM*float64(max(kNet-1, 0))
 
-	// Top level: one group per native consumer plus one per VM.
-	type group struct {
-		members    []*Consumer
-		vm         *VM // nil for native
-		overhead   OverheadProfile
-		inflate    resource.Vector
-		weight     float64
-		cap        resource.Vector
-		memCap     float64 // memory available to members
-		rawDemands []resource.Vector
-	}
-
 	hostMem := pm.capacity.Get(resource.Memory)
 	var vmReserved float64
 	for _, vm := range pm.vms {
@@ -314,10 +346,11 @@ func (pm *PM) resolve() {
 		nativeMem = 0
 	}
 
-	groups := make([]*group, 0, len(pm.native)+len(pm.vms))
-	for _, c := range pm.native {
-		groups = append(groups, &group{
-			members:  []*Consumer{c},
+	// Top level: one group per native consumer plus one per VM.
+	groups := sc.groups[:0]
+	for i, c := range pm.native {
+		groups = append(groups, group{
+			members:  pm.native[i : i+1 : i+1],
 			overhead: pm.nativeOverhead,
 			inflate:  resource.NewVector(1, 1, 1, 1),
 			weight:   effWeight(c.Weight),
@@ -330,7 +363,7 @@ func (pm *PM) resolve() {
 			// their consumers' speeds are zeroed below.
 			continue
 		}
-		g := &group{
+		g := group{
 			members:  vm.consumers,
 			vm:       vm,
 			overhead: vm.overhead,
@@ -350,18 +383,22 @@ func (pm *PM) resolve() {
 		}
 		groups = append(groups, g)
 	}
+	sc.groups = groups
 
 	// Raw (host-level) demand of each member: useful demand divided by
 	// efficiency, inflated by cross-VM I/O contention.
-	groupDemand := make([]resource.Vector, len(groups))
-	groupWeights := make([]float64, len(groups))
-	groupCaps := make([]resource.Vector, len(groups))
-	for gi, g := range groups {
-		g.rawDemands = make([]resource.Vector, len(g.members))
+	groupDemand := grow(sc.groupDemand, len(groups))
+	groupWeights := grow(sc.groupWeights, len(groups))
+	groupCaps := grow(sc.groupCaps, len(groups))
+	sc.groupDemand, sc.groupWeights, sc.groupCaps = groupDemand, groupWeights, groupCaps
+	rawDemands := sc.rawDemands[:0]
+	for gi := range groups {
+		g := &groups[gi]
+		g.rawOff = len(rawDemands)
 		var total resource.Vector
-		for mi, c := range g.members {
+		for _, c := range g.members {
 			raw := rawDemand(c.Demand, g.overhead, g.inflate)
-			g.rawDemands[mi] = raw
+			rawDemands = append(rawDemands, raw)
 			total = total.Add(raw)
 		}
 		// A VM reserves its full memory on the host regardless of usage.
@@ -372,6 +409,7 @@ func (pm *PM) resolve() {
 		groupWeights[gi] = g.weight
 		groupCaps[gi] = g.cap
 	}
+	sc.rawDemands = rawDemands
 	// Seek thrashing: an oversubscribed disk loses sequential bandwidth
 	// to head movement between competing streams.
 	solveCap := pm.capacity
@@ -391,25 +429,34 @@ func (pm *PM) resolve() {
 		}
 		solveCap = solveCap.Set(resource.DiskIO, diskCap/divisor)
 	}
-	groupAlloc := resource.ShareVector(solveCap, groupDemand, groupWeights, groupCaps)
+	groupAlloc := sc.solver.ShareVector(sc.groupAlloc, solveCap, groupDemand, groupWeights, groupCaps)
+	sc.groupAlloc = groupAlloc
 
 	// Second level: members share their group's allocation.
 	var totalRaw resource.Vector
-	for gi, g := range groups {
-		weights := make([]float64, len(g.members))
-		caps := make([]resource.Vector, len(g.members))
+	for gi := range groups {
+		g := &groups[gi]
+		n := len(g.members)
+		weights := grow(sc.memberWeights, n)
+		caps := grow(sc.memberCaps, n)
+		selfPenalty := grow(sc.selfPenalty, n)
+		sc.memberWeights, sc.memberCaps, sc.selfPenalty = weights, caps, selfPenalty
 		for mi, c := range g.members {
 			weights[mi] = effWeight(c.Weight)
-			caps[mi] = rawDemand(c.Cap, g.overhead, g.inflate)
+			caps[mi] = resource.Vector{}
+			if c.Cap != (resource.Vector{}) { // the common uncapped case converts to zero
+				caps[mi] = rawDemand(c.Cap, g.overhead, g.inflate)
+			}
 		}
-		memberAlloc := resource.ShareVector(groupAlloc[gi], g.rawDemands, weights, caps)
+		memberAlloc := sc.solver.ShareVector(sc.memberAlloc, groupAlloc[gi],
+			rawDemands[g.rawOff:g.rawOff+n], weights, caps)
+		sc.memberAlloc = memberAlloc
 
 		// Memory pressure inside the container: overcommit causes
 		// thrashing that slows every memory-using member. A consumer
 		// with a memory cap below its demand pages on its own (self
 		// penalty) but relieves the container.
 		var memDemand float64
-		selfPenalty := make([]float64, len(g.members))
 		for mi, c := range g.members {
 			use := c.Demand.Get(resource.Memory)
 			selfPenalty[mi] = 1
@@ -439,7 +486,7 @@ func (pm *PM) resolve() {
 	// An injected straggler factor slows every consumer on the machine
 	// below what its allocation would sustain.
 	if pm.slowdown > 1 {
-		pm.allConsumers(func(c *Consumer) {
+		pm.EachConsumer(func(c *Consumer) {
 			c.speed /= pm.slowdown
 		})
 	}
@@ -457,13 +504,17 @@ func (pm *PM) resolve() {
 			totalRaw.Get(resource.Memory)+vm.memMB)
 	}
 	pm.rawUsage = totalRaw
+
+	// The scratch outlives this call: drop its references to consumers
+	// and VMs.
+	clear(groups)
 }
 
 // reschedule cancels and re-creates the completion event of every finite
 // consumer, using the freshly computed speeds.
 func (pm *PM) reschedule() {
 	engine := pm.cluster.engine
-	pm.allConsumers(func(c *Consumer) {
+	pm.EachConsumer(func(c *Consumer) {
 		if c.completion != nil {
 			engine.Cancel(c.completion)
 			c.completion = nil
@@ -474,7 +525,10 @@ func (pm *PM) reschedule() {
 		if c.speed <= 0 {
 			return // stalled: a future update will reschedule
 		}
-		c.completion = engine.AfterSeconds(c.remaining/c.speed, c.complete)
+		if c.completeFn == nil {
+			c.completeFn = c.complete // bound once: a method value allocates
+		}
+		c.completion = engine.AfterSeconds(c.remaining/c.speed, c.completeFn)
 	})
 }
 
@@ -482,18 +536,22 @@ func (pm *PM) reschedule() {
 // under an overhead profile and I/O contention inflation. Zero components
 // stay zero, so Cap vectors pass through correctly.
 func rawDemand(d resource.Vector, o OverheadProfile, inflate resource.Vector) resource.Vector {
-	d = d.Set(resource.CPU, d.Get(resource.CPU)/o.CPU*inflate.Get(resource.CPU))
-	d = d.Set(resource.DiskIO, d.Get(resource.DiskIO)/o.Disk*inflate.Get(resource.DiskIO))
-	d = d.Set(resource.NetIO, d.Get(resource.NetIO)/o.Net*inflate.Get(resource.NetIO))
-	return d
+	return resource.NewVector(
+		d.Get(resource.CPU)/o.CPU*inflate.Get(resource.CPU),
+		d.Get(resource.Memory),
+		d.Get(resource.DiskIO)/o.Disk*inflate.Get(resource.DiskIO),
+		d.Get(resource.NetIO)/o.Net*inflate.Get(resource.NetIO),
+	)
 }
 
 // usefulAlloc converts a raw host allocation back into useful units.
 func usefulAlloc(a resource.Vector, o OverheadProfile, inflate resource.Vector) resource.Vector {
-	a = a.Set(resource.CPU, a.Get(resource.CPU)*o.CPU/inflate.Get(resource.CPU))
-	a = a.Set(resource.DiskIO, a.Get(resource.DiskIO)*o.Disk/inflate.Get(resource.DiskIO))
-	a = a.Set(resource.NetIO, a.Get(resource.NetIO)*o.Net/inflate.Get(resource.NetIO))
-	return a
+	return resource.NewVector(
+		a.Get(resource.CPU)*o.CPU/inflate.Get(resource.CPU),
+		a.Get(resource.Memory),
+		a.Get(resource.DiskIO)*o.Disk/inflate.Get(resource.DiskIO),
+		a.Get(resource.NetIO)*o.Net/inflate.Get(resource.NetIO),
+	)
 }
 
 // progressSpeed is the Leontief rate: the minimum allocation/demand ratio
@@ -528,4 +586,13 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// grow returns buf resliced to length n, reallocating only when its
+// capacity is short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

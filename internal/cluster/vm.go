@@ -96,6 +96,14 @@ func (vm *VM) Consumers() []*Consumer {
 	return out
 }
 
+// EachConsumer calls fn for every attached consumer in attach order
+// without copying the list; fn must not start, stop or move consumers.
+func (vm *VM) EachConsumer(fn func(c *Consumer)) {
+	for _, c := range vm.consumers {
+		fn(c)
+	}
+}
+
 // Start begins executing a consumer inside the VM. Starting work on a
 // paused VM is allowed; it simply makes no progress until Resume.
 func (vm *VM) Start(c *Consumer) error {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/audit"
@@ -249,7 +249,7 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 	if headroom <= 0 || len(deficits) == 0 {
 		return
 	}
-	sort.Slice(deficits, func(i, j int) bool { return deficits[i].benefit > deficits[j].benefit })
+	slices.SortFunc(deficits, func(a, b deficit) int { return byDescending(a.benefit, b.benefit) })
 	available := headroom
 	granted := 0
 	var cands []audit.Candidate
@@ -318,7 +318,7 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 	// the tail gets deferred.
 	ordered := make([]*mapred.Attempt, len(attempts))
 	copy(ordered, attempts)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Progress() > ordered[j].Progress() })
+	slices.SortFunc(ordered, func(a, b *mapred.Attempt) int { return byDescending(a.Progress(), b.Progress()) })
 
 	budget := capacityMB
 	for _, a := range ordered {
@@ -414,6 +414,19 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
+}
+
+// byDescending is a three-way compare that puts larger values first.
+// pdqsort only asks whether the result is negative, so it sorts exactly
+// as the equivalent `>` less function does.
+func byDescending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case b > a:
+		return 1
+	}
+	return 0
 }
 
 func abs64(x float64) float64 {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/audit"
@@ -269,8 +270,8 @@ func (p *IPS) arbitrate(st *ipsService) {
 		// hurt throughput.
 		return
 	}
-	sort.SliceStable(interferers, func(i, j int) bool {
-		return p.interferenceOf(interferers[i], bottleneck) > p.interferenceOf(interferers[j], bottleneck)
+	slices.SortStableFunc(interferers, func(a, b *mapred.Attempt) int {
+		return byDescending(p.interferenceOf(a, bottleneck), p.interferenceOf(b, bottleneck))
 	})
 
 	relocated := 0
@@ -317,14 +318,14 @@ func (p *IPS) arbitrate(st *ipsService) {
 // (they are already not running and their tasks resume elsewhere).
 func (p *IPS) migrateBatchVM(st *ipsService, pm *cluster.PM) {
 	var candidate *cluster.VM
-	for _, vm := range pm.VMs() {
+	pm.EachVM(func(vm *cluster.VM) {
 		if p.hostsService(vm) {
-			continue
+			return
 		}
 		if candidate == nil || vm.State() == cluster.VMPaused {
 			candidate = vm
 		}
-	}
+	})
 	if candidate == nil {
 		return
 	}
@@ -335,9 +336,9 @@ func (p *IPS) migrateBatchVM(st *ipsService, pm *cluster.PM) {
 			continue
 		}
 		var committed float64
-		for _, vm := range other.VMs() {
+		other.EachVM(func(vm *cluster.VM) {
 			committed += vm.MemoryMB()
-		}
+		})
 		free := other.Capacity().Get(resource.Memory) - committed
 		if free < candidate.MemoryMB() {
 			continue
@@ -464,18 +465,19 @@ func (p *IPS) freeCapacity(n cluster.Node) resource.Vector {
 func (p *IPS) pauseWorstBatchVM(st *ipsService, pm *cluster.PM, kind resource.Kind) {
 	var worst *cluster.VM
 	worstLoad := 0.0
-	for _, vm := range pm.VMs() {
+	pm.EachVM(func(vm *cluster.VM) {
 		if vm.State() != cluster.VMRunning || p.hostsService(vm) {
-			continue
+			return
 		}
-		load := 0.0
-		for _, c := range vm.Consumers() {
+		load, members := 0.0, 0
+		vm.EachConsumer(func(c *cluster.Consumer) {
 			load += c.Alloc().Get(kind)
-		}
-		if len(vm.Consumers()) > 0 && (worst == nil || load > worstLoad) {
+			members++
+		})
+		if members > 0 && (worst == nil || load > worstLoad) {
 			worst, worstLoad = vm, load
 		}
-	}
+	})
 	if worst == nil {
 		return
 	}
@@ -504,7 +506,7 @@ func (p *IPS) maybeResume() {
 	for vm := range p.paused {
 		paused = append(paused, vm)
 	}
-	sort.Slice(paused, func(i, j int) bool { return paused[i].Name() < paused[j].Name() })
+	slices.SortFunc(paused, func(a, b *cluster.VM) int { return strings.Compare(a.Name(), b.Name()) })
 	for _, vm := range paused {
 		svcName := p.paused[vm]
 		pm := vm.Machine()
@@ -527,8 +529,8 @@ func (p *IPS) maybeResume() {
 	for tr := range p.blacklisted {
 		blacklisted = append(blacklisted, tr)
 	}
-	sort.Slice(blacklisted, func(i, j int) bool {
-		return blacklisted[i].Compute.Name() < blacklisted[j].Compute.Name()
+	slices.SortFunc(blacklisted, func(a, b *mapred.TaskTracker) int {
+		return strings.Compare(a.Compute.Name(), b.Compute.Name())
 	})
 	for _, tr := range blacklisted {
 		svcName := p.blacklisted[tr]

@@ -749,7 +749,7 @@ func trackerPressure(tr *TaskTracker) float64 {
 	}
 	cap := pm.Capacity()
 	var p float64
-	add := func(c *cluster.Consumer) {
+	pm.EachConsumer(func(c *cluster.Consumer) {
 		best := 0.0
 		for _, k := range resource.Kinds() {
 			if cv := cap.Get(k); cv > 0 {
@@ -759,15 +759,7 @@ func trackerPressure(tr *TaskTracker) float64 {
 			}
 		}
 		p += best
-	}
-	for _, c := range pm.Consumers() {
-		add(c)
-	}
-	for _, vm := range pm.VMs() {
-		for _, c := range vm.Consumers() {
-			add(c)
-		}
-	}
+	})
 	return p
 }
 
