@@ -69,6 +69,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -133,16 +134,48 @@ type baselineFile struct {
 	// ScaleUp records events/sec per datacenter-scale operating point
 	// ("pm2500", "pm10000") from the -scale-up suite, guarded with the
 	// same baselineTolerance floor as the figure experiments. Written by
-	// -scale-up -write-baseline, which leaves the sections above intact
-	// (and vice versa).
+	// -scale-up -write-baseline.
 	ScaleUp map[string]float64 `json:"scale_up,omitempty"`
 	// PolicySearch records the policy-search sweep's events/sec, guarded
 	// with the same baselineTolerance floor. Written by -policy-search
-	// -write-baseline, preserving every other section (and vice versa).
+	// -write-baseline. Each write mode rewrites only its own sections
+	// (see updateBaseline).
 	PolicySearch float64 `json:"policy_search,omitempty"`
 }
 
 const baselineTolerance = 3.0
+
+// readBaseline loads the baseline file at path.
+func readBaseline(path string) (baselineFile, error) {
+	var base baselineFile
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return base, fmt.Errorf("read baseline: %w", err)
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		return base, fmt.Errorf("parse baseline %s: %w", path, err)
+	}
+	return base, nil
+}
+
+// updateBaseline rewrites the baseline file at path after edit has set
+// the calling mode's own sections; every other section is carried over
+// unchanged. A missing file starts empty.
+func updateBaseline(path string, edit func(*baselineFile)) error {
+	base, err := readBaseline(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	edit(&base)
+	data, err := json.MarshalIndent(base, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("write baseline: %w", err)
+	}
+	return nil
+}
 
 // costRatioTolerance bounds scans-per-decision inflation. Ratios are
 // deterministic, but legitimate workload reshaping (new assertions, new
@@ -273,7 +306,7 @@ func run(args []string, stdout io.Writer) error {
 		return stopProf()
 	}
 	if *scaleSweep {
-		sizes, err := parseSizes(*sweepSizes)
+		sizes, err := parseSizes("sweep-sizes", *sweepSizes)
 		if err != nil {
 			return err
 		}
@@ -289,7 +322,7 @@ func run(args []string, stdout io.Writer) error {
 		return stopProf()
 	}
 	if *scaleUp {
-		sizes, err := parseSizes(*scaleUpSizes)
+		sizes, err := parseSizes("scale-up-sizes", *scaleUpSizes)
 		if err != nil {
 			return err
 		}
@@ -397,9 +430,9 @@ func run(args []string, stdout io.Writer) error {
 	return stopProf()
 }
 
-// parseSizes parses the -sweep-sizes list; empty means the default
-// geometric sequence.
-func parseSizes(s string) ([]int, error) {
+// parseSizes parses the PM-count list given to the named flag
+// (-sweep-sizes or -scale-up-sizes); empty means the mode's defaults.
+func parseSizes(flagName, s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
@@ -407,7 +440,7 @@ func parseSizes(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 2 {
-			return nil, fmt.Errorf("bad -sweep-sizes entry %q", part)
+			return nil, fmt.Errorf("bad -%s entry %q", flagName, part)
 		}
 		sizes = append(sizes, n)
 	}
@@ -515,30 +548,20 @@ func runScaleUp(sizes []int, seed int64, outPath, baselinePath string, writeBase
 }
 
 // handleScaleUpBaseline records or checks the per-point events/sec
-// floors of the scale-up suite. Writing preserves the figure-experiment
-// sections of the baseline file; the scenario does not depend on -scale,
-// so no scale consistency check applies here.
+// floors of the scale-up suite. Writing rewrites only the scale_up
+// section; the scenario does not depend on -scale, so no scale
+// consistency check applies here.
 func handleScaleUpBaseline(path string, write bool, measured map[string]float64, stdout io.Writer) error {
-	var base baselineFile
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("parse baseline %s: %w", path, err)
-		}
-	} else if !write {
-		return fmt.Errorf("read baseline: %w", err)
-	}
 	if write {
-		base.ScaleUp = measured
-		out, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
+		if err := updateBaseline(path, func(b *baselineFile) { b.ScaleUp = measured }); err != nil {
 			return err
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write baseline: %w", err)
 		}
 		fmt.Fprintf(stdout, "wrote scale-up floors for %d operating point(s) to %s\n", len(measured), path)
 		return nil
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		return err
 	}
 	keys := make([]string, 0, len(measured))
 	for k := range measured {
@@ -663,28 +686,18 @@ func runPolicySearch(gridName string, samples int, seed int64, outPath, reportPa
 }
 
 // handlePolicySearchBaseline records or checks the policy-search sweep's
-// events/sec floor, preserving every other baseline section.
+// events/sec floor. Writing rewrites only the policy_search section.
 func handlePolicySearchBaseline(path string, write bool, eps float64, stdout io.Writer) error {
-	var base baselineFile
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("parse baseline %s: %w", path, err)
-		}
-	} else if !write {
-		return fmt.Errorf("read baseline: %w", err)
-	}
 	if write {
-		base.PolicySearch = eps
-		out, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
+		if err := updateBaseline(path, func(b *baselineFile) { b.PolicySearch = eps }); err != nil {
 			return err
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write baseline: %w", err)
 		}
 		fmt.Fprintf(stdout, "wrote policy-search floor (%.0f events/sec) to %s\n", eps, path)
 		return nil
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		return err
 	}
 	if base.PolicySearch <= 0 {
 		return nil
@@ -770,33 +783,22 @@ func printViolations(stdout io.Writer, vs []invariant.Violation) {
 
 // handleBaseline either records this run's throughput as the new
 // baseline or compares against the committed one, failing on any
-// experiment that ran more than baselineTolerance times slower.
+// experiment that ran more than baselineTolerance times slower. Writing
+// rewrites only the scale, events_per_sec and cost_ratios sections.
 func handleBaseline(path string, write bool, scale float64, order []string, measured map[string]float64, ratios map[string]map[string]float64, stdout io.Writer) error {
 	if write {
-		base := baselineFile{Scale: scale, EventsPerSec: measured, CostRatios: ratios}
-		if prev, err := os.ReadFile(path); err == nil {
-			var old baselineFile
-			if json.Unmarshal(prev, &old) == nil {
-				base.ScaleUp = old.ScaleUp
-			}
-		}
-		data, err := json.MarshalIndent(base, "", "  ")
+		err := updateBaseline(path, func(b *baselineFile) {
+			b.Scale, b.EventsPerSec, b.CostRatios = scale, measured, ratios
+		})
 		if err != nil {
 			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write baseline: %w", err)
 		}
 		fmt.Fprintf(stdout, "wrote throughput baseline for %d experiment(s) to %s\n", len(measured), path)
 		return nil
 	}
-	data, err := os.ReadFile(path)
+	base, err := readBaseline(path)
 	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base baselineFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
+		return err
 	}
 	if base.Scale != scale {
 		return fmt.Errorf("baseline %s was recorded at scale %g, run at %g", path, base.Scale, scale)

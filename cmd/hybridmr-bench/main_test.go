@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -140,5 +141,102 @@ func TestCostRatioGuard(t *testing.T) {
 	missing := map[string]map[string]float64{"figY": {ratioName: 9999}}
 	if err := handleBaseline(path, false, 0.1, order, measured, missing, io.Discard); err != nil {
 		t.Fatalf("unknown ratio rows should be skipped: %v", err)
+	}
+}
+
+// TestWriteBaselineKeepsOtherSections seeds a baseline file with every
+// section, runs each -write-baseline path in turn and requires every
+// section that path does not own to survive byte for byte.
+func TestWriteBaselineKeepsOtherSections(t *testing.T) {
+	seed := baselineFile{
+		Scale:        0.1,
+		EventsPerSec: map[string]float64{"fig1a": 123456.5, "fig5a": 98765.25},
+		CostRatios:   map[string]map[string]float64{"fig5a": {costRatioDefs[0].name: 3.5}},
+		ScaleUp:      map[string]float64{"pm2500": 54321.75},
+		PolicySearch: 67890.125,
+	}
+	owned := map[string][]string{
+		"figures":       {"scale", "events_per_sec", "cost_ratios"},
+		"scale-up":      {"scale_up"},
+		"policy-search": {"policy_search"},
+	}
+	write := map[string]func(path string) error{
+		"figures": func(path string) error {
+			return handleBaseline(path, true, 0.25, []string{"fig2a"},
+				map[string]float64{"fig2a": 1}, map[string]map[string]float64{"fig2a": {costRatioDefs[1].name: 2}}, io.Discard)
+		},
+		"scale-up": func(path string) error {
+			return handleScaleUpBaseline(path, true, map[string]float64{"pm10000": 2}, io.Discard)
+		},
+		"policy-search": func(path string) error {
+			return handlePolicySearchBaseline(path, true, 3, io.Discard)
+		},
+	}
+	sections := func(t *testing.T, path string) map[string]json.RawMessage {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for mode, fn := range write {
+		t.Run(mode, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "base.json")
+			data, err := json.MarshalIndent(seed, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := sections(t, path)
+			if len(before) != 5 {
+				t.Fatalf("seeded %d sections, want 5", len(before))
+			}
+			if err := fn(path); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			after := sections(t, path)
+			mine := map[string]bool{}
+			for _, k := range owned[mode] {
+				mine[k] = true
+				if bytes.Equal(before[k], after[k]) {
+					t.Errorf("%s did not rewrite its own section %q", mode, k)
+				}
+			}
+			for k, v := range before {
+				if !mine[k] && !bytes.Equal(v, after[k]) {
+					t.Errorf("%s changed section %q: %s -> %s", mode, k, v, after[k])
+				}
+			}
+		})
+	}
+}
+
+// TestParseSizesNamesItsFlag checks that a bad size list is reported
+// against the flag it came from.
+func TestParseSizesNamesItsFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-scale-sweep", "-sweep-sizes", "4,x"}, "-sweep-sizes"},
+		{[]string{"-scale-up", "-scale-up-sizes", "4,x"}, "-scale-up-sizes"},
+		{[]string{"-scale-up", "-scale-up-sizes", "1"}, "-scale-up-sizes"},
+	} {
+		err := run(tc.args, io.Discard)
+		if err == nil {
+			t.Errorf("%v: want an error", tc.args)
+			continue
+		}
+		want := "bad " + tc.flag + " entry"
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: error %q does not contain %q", tc.args, err, want)
+		}
 	}
 }

@@ -96,6 +96,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/progress"
 	"repro/internal/report"
@@ -133,11 +134,10 @@ type runObs struct {
 	suffix string // "" or "-<benchmark>" for job lists
 	seed   int64
 
-	tracer *trace.Tracer
-	reg    *trace.Registry
-	log    *audit.Log
-	rec    *metrics.Recorder
-	ts     *timeseries.Collector
+	// sc holds the observers the command line asked for (trace,
+	// metrics, audit, time series); it is bound to the run's engine.
+	sc  obs.Scope
+	rec *metrics.Recorder
 
 	title  string
 	simEnd time.Duration
@@ -148,16 +148,16 @@ type runObs struct {
 func newRunObs(cfg obsConfig, suffix string, seed int64) *runObs {
 	o := &runObs{cfg: cfg, suffix: suffix, seed: seed}
 	if cfg.traceFile != "" || cfg.reportFile != "" {
-		o.tracer = trace.New(nil)
+		o.sc.Trace = trace.New(nil)
 	}
 	if cfg.metricsOn || cfg.traceFile != "" || cfg.reportFile != "" {
-		o.reg = trace.NewRegistry()
+		o.sc.Metrics = trace.NewRegistry()
 	}
 	if cfg.auditFile != "" || cfg.reportFile != "" {
-		o.log = audit.New(0)
+		o.sc.Audit = audit.New(0)
 	}
 	if cfg.tsFile != "" || cfg.sloFile != "" {
-		o.ts = timeseries.New(0, 0)
+		o.sc.TimeSeries = timeseries.New(0, 0)
 	}
 	return o
 }
@@ -166,9 +166,8 @@ func newRunObs(cfg obsConfig, suffix string, seed int64) *runObs {
 // a report or windowed telemetry was requested; the report's timeline
 // view reads it back, and its ticks sample the telemetry probes.
 func (o *runObs) watch(cl *cluster.Cluster) {
-	if o.cfg.reportFile != "" || o.ts != nil {
+	if o.cfg.reportFile != "" || o.sc.TimeSeries != nil {
 		o.rec = metrics.NewRecorder(cl, 10*time.Second, 0)
-		o.rec.SetTimeSeries(o.ts)
 	}
 }
 
@@ -214,17 +213,17 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 	var sloRep timeseries.SLOReport
 	var sloRows []timeseries.WindowEval
 	if o.cfg.sloFile != "" {
-		sloRep, sloRows = timeseries.Evaluate(o.ts, timeseries.DefaultObjectives())
+		sloRep, sloRows = timeseries.Evaluate(o.sc.TimeSeries, timeseries.DefaultObjectives())
 	}
 	if o.cfg.reportFile != "" {
 		d := report.Data{
 			Title:        o.title,
 			Seed:         o.seed,
 			SimEnd:       o.simEnd,
-			Events:       o.tracer.Events(),
-			Audit:        o.log.Records(),
-			AuditDropped: o.log.Dropped(),
-			Metrics:      o.reg.Snapshot(),
+			Events:       o.sc.Trace.Events(),
+			Audit:        o.sc.Audit.Records(),
+			AuditDropped: o.sc.Audit.Dropped(),
+			Metrics:      o.sc.Metrics.Snapshot(),
 			Perf:         o.perf,
 			Jobs:         o.jobs,
 		}
@@ -232,8 +231,8 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 			d.Samples = o.rec.Samples()
 			d.EnergyWh = o.rec.EnergyWh()
 		}
-		if o.ts != nil {
-			d.TimeSeries = o.ts.Snapshot()
+		if o.sc.TimeSeries != nil {
+			d.TimeSeries = o.sc.TimeSeries.Snapshot()
 		}
 		if o.cfg.sloFile != "" {
 			d.SLO = &sloRep
@@ -260,14 +259,14 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		if err != nil {
 			return err
 		}
-		if err := o.log.WriteJSONL(f); err != nil {
+		if err := o.sc.Audit.WriteJSONL(f); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\naudit: %d decisions -> %s\n", o.log.Len(), path)
+		fmt.Fprintf(out, "\naudit: %d decisions -> %s\n", o.sc.Audit.Len(), path)
 	}
 	if o.cfg.tsFile != "" {
 		path := suffixed(o.cfg.tsFile, o.suffix)
@@ -277,7 +276,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		}
 		// Series windows first, then the SLO evaluation rows (when -slo is
 		// on): one JSONL stream carries the full windowed record.
-		if err := o.ts.WriteJSONL(f); err != nil {
+		if err := o.sc.TimeSeries.WriteJSONL(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -289,7 +288,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 			return err
 		}
 		fmt.Fprintf(out, "\ntimeseries: %d windows x %.0fs -> %s\n",
-			o.ts.Windows(), o.ts.Window().Seconds(), path)
+			o.sc.TimeSeries.Windows(), o.sc.TimeSeries.Window().Seconds(), path)
 	}
 	if o.cfg.sloFile != "" {
 		path := suffixed(o.cfg.sloFile, o.suffix)
@@ -306,7 +305,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 	// Wall-clock throughput goes to the registry only — never into the
 	// report, trace or audit files, which must stay deterministic.
 	if eventsPerSec > 0 {
-		o.reg.Gauge("engine.events_per_sec").Set(eventsPerSec)
+		o.sc.Metrics.Gauge("engine.events_per_sec").Set(eventsPerSec)
 	}
 	if o.cfg.traceFile != "" {
 		path := suffixed(o.cfg.traceFile, o.suffix)
@@ -314,18 +313,18 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		if err != nil {
 			return err
 		}
-		if err := o.tracer.Write(f, trace.ExportFormat(o.cfg.traceFormat)); err != nil {
+		if err := o.sc.Trace.Write(f, trace.ExportFormat(o.cfg.traceFormat)); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\ntrace: %d events -> %s (%s format)\n", o.tracer.Len(), path, o.cfg.traceFormat)
+		fmt.Fprintf(out, "\ntrace: %d events -> %s (%s format)\n", o.sc.Trace.Len(), path, o.cfg.traceFormat)
 	}
 	if o.cfg.metricsOn {
 		fmt.Fprintf(out, "\nmetrics:\n")
-		o.reg.Fprint(out)
+		o.sc.Metrics.Fprint(out)
 	}
 	return nil
 }
@@ -435,12 +434,12 @@ func run(args []string, out io.Writer) error {
 	runErr := func() error {
 		switch mode {
 		case "quickstart":
-			obs := newRunObs(cfg, "", *seed)
-			if err := runQuickstart(*seed, policies, obs, pr, out); err != nil {
+			ro := newRunObs(cfg, "", *seed)
+			if err := runQuickstart(*seed, policies, ro, pr, out); err != nil {
 				return err
 			}
 			pr.Stop()
-			return obs.finish(out, throughput())
+			return ro.finish(out, throughput())
 		case "job":
 			return runJobs(*bench, jobOptions{
 				dataGB: *dataGB, pms: *pms, vmsPerPM: *vmsPerPM,
@@ -448,12 +447,12 @@ func run(args []string, out io.Writer) error {
 				policies: policies, schedSet: schedSet,
 			}, *parallel, cfg, throughput, out)
 		case "chaos":
-			obs := newRunObs(cfg, "", *seed)
-			if err := runChaos(*seed, *faultSeed, *faults, *invariants, policies, obs, out); err != nil {
+			ro := newRunObs(cfg, "", *seed)
+			if err := runChaos(*seed, *faultSeed, *faults, *invariants, policies, ro, out); err != nil {
 				return err
 			}
 			pr.Stop()
-			return obs.finish(out, throughput())
+			return ro.finish(out, throughput())
 		case "scaleup":
 			size := *pms
 			if !pmsSet {
@@ -476,24 +475,24 @@ func run(args []string, out io.Writer) error {
 // runQuickstart exercises every traced subsystem: hybrid placement, task
 // execution with data locality, interactive-service SLA monitoring, live
 // VM migration and PM power management.
-func runQuickstart(seed int64, policies *hybridmr.PolicySet, obs *runObs, pr *progress.Reporter, out io.Writer) error {
-	obs.title = "quickstart"
+func runQuickstart(seed int64, policies *hybridmr.PolicySet, ro *runObs, pr *progress.Reporter, out io.Writer) error {
+	ro.title = "quickstart"
 	dc, err := hybridmr.NewHybridCluster(hybridmr.ClusterSpec{
 		NativePMs:      4,
 		VirtualHostPMs: 4,
 		VMsPerHost:     2,
 		Seed:           seed,
 		Policies:       policies,
-		Tracer:         obs.tracer,
-		Metrics:        obs.reg,
-		Audit:          obs.log,
-		TimeSeries:     obs.ts,
+		Tracer:         ro.sc.Trace,
+		Metrics:        ro.sc.Metrics,
+		Audit:          ro.sc.Audit,
+		TimeSeries:     ro.sc.TimeSeries,
 	})
 	if err != nil {
 		return err
 	}
 	defer dc.Close()
-	obs.watch(dc.Cluster)
+	ro.watch(dc.Cluster)
 
 	// The scenario simulates exactly 20 minutes; slicing each RunFor into
 	// short chunks gives the heartbeat a completed fraction to show.
@@ -573,15 +572,15 @@ func runQuickstart(seed int64, policies *hybridmr.PolicySet, obs *runObs, pr *pr
 			status = fmt.Sprintf("done, JCT %.1fs", s.job.JCT().Seconds())
 			if rep, err := s.job.CriticalPath(); err == nil {
 				sum := rep.Summary()
-				obs.addJob(s.job.Spec.Name, &sum)
+				ro.addJob(s.job.Spec.Name, &sum)
 			}
 		}
 		fmt.Fprintf(out, "  %-8s -> %-7s partition  (%s)\n", s.job.Spec.Name, s.placement, status)
 	}
 	fmt.Fprintf(out, "  RUBiS    -> %.0f ms mean response (%d clients)\n",
 		svc.LatencyMs(), svc.Clients())
-	obs.snapPerf(dc.Perf)
-	obs.simEnd = dc.Now()
+	ro.snapPerf(dc.Perf)
+	ro.simEnd = dc.Now()
 	return nil
 }
 
@@ -592,8 +591,8 @@ func runQuickstart(seed int64, policies *hybridmr.PolicySet, obs *runObs, pr *pr
 // replication — and prints the seeds needed to replay the run. With
 // checkInvariants, the runtime safety-invariant checker additionally
 // observes every layer and the run fails on any violation.
-func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, policies *hybridmr.PolicySet, obs *runObs, out io.Writer) error {
-	obs.title = "chaos"
+func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, policies *hybridmr.PolicySet, ro *runObs, out io.Writer) error {
+	ro.title = "chaos"
 	profile := &fault.Profile{
 		VMCrashPerHour:     2,
 		TrackerHangPerHour: 4,
@@ -620,10 +619,7 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 		VMsPerPM:   2,
 		Seed:       seed,
 		Policies:   policies,
-		Tracer:     obs.tracer,
-		Metrics:    obs.reg,
-		Audit:      obs.log,
-		TimeSeries: obs.ts,
+		Obs:        ro.sc,
 		Invariants: inv,
 		Faults: &fault.Options{
 			Seed: faultSeed,
@@ -638,9 +634,9 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 	if err != nil {
 		return err
 	}
-	obs.watch(rig.Cluster)
-	if obs.rec != nil {
-		rig.OnAllJobsDone = obs.rec.Stop
+	ro.watch(rig.Cluster)
+	if ro.rec != nil {
+		rig.OnAllJobsDone = ro.rec.Stop
 	}
 	results, err := rig.RunJobs([]mapred.JobSpec{
 		workload.Sort().WithInputMB(2 * 1024),
@@ -656,7 +652,7 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 	for _, r := range results {
 		fmt.Fprintf(out, "  %-8s JCT %7.1fs  (map %.1fs, reduce %.1fs)\n",
 			r.Name, r.JCT.Seconds(), r.MapPhase.Seconds(), r.ReducePhase.Seconds())
-		obs.addJob(r.Name, r.CritPath)
+		ro.addJob(r.Name, r.CritPath)
 	}
 	under, lost := rig.FS.UnderReplicated(), rig.FS.LostBlocks()
 	fmt.Fprintf(out, "\nDFS after recovery: %d under-replicated, %d lost\n", under, lost)
@@ -672,8 +668,8 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 		}
 		fmt.Fprintln(out, "invariants: all held")
 	}
-	obs.snapPerf(rig.Perf)
-	obs.simEnd = rig.Engine.Now()
+	ro.snapPerf(rig.Perf)
+	ro.simEnd = rig.Engine.Now()
 	return nil
 }
 
@@ -740,22 +736,22 @@ func runJobs(benchList string, o jobOptions, parallel int, cfg obsConfig, throug
 	}
 	if len(benches) == 1 {
 		o.bench = benches[0]
-		obs := newRunObs(cfg, "", o.seed)
-		if err := runJob(o, obs, out); err != nil {
+		ro := newRunObs(cfg, "", o.seed)
+		if err := runJob(o, ro, out); err != nil {
 			return err
 		}
-		return obs.finish(out, throughput())
+		return ro.finish(out, throughput())
 	}
 	experiments.Parallelism = parallel
 	reports, err := experiments.Map(len(benches), func(i int) (string, error) {
 		run := o
 		run.bench = benches[i]
-		obs := newRunObs(cfg, "-"+benches[i], o.seed)
+		ro := newRunObs(cfg, "-"+benches[i], o.seed)
 		var buf bytes.Buffer
-		if err := runJob(run, obs, &buf); err != nil {
+		if err := runJob(run, ro, &buf); err != nil {
 			return "", fmt.Errorf("%s: %w", benches[i], err)
 		}
-		if err := obs.finish(&buf, 0); err != nil {
+		if err := ro.finish(&buf, 0); err != nil {
 			return "", fmt.Errorf("%s: %w", benches[i], err)
 		}
 		return buf.String(), nil
@@ -773,8 +769,8 @@ func runJobs(benchList string, o jobOptions, parallel int, cfg obsConfig, throug
 }
 
 // runJob is the original single-benchmark mode.
-func runJob(o jobOptions, obs *runObs, out io.Writer) error {
-	obs.title = "job: " + o.bench
+func runJob(o jobOptions, ro *runObs, out io.Writer) error {
+	ro.title = "job: " + o.bench
 	spec, err := workload.ByName(o.bench)
 	if err != nil {
 		return err
@@ -812,27 +808,24 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		Policies:     o.policies,
 		Scheduler:    scheduler,
 		MapredConfig: mrCfg,
-		Tracer:       obs.tracer,
-		Metrics:      obs.reg,
-		Audit:        obs.log,
-		TimeSeries:   obs.ts,
+		Obs:          ro.sc,
 	})
 	if err != nil {
 		return err
 	}
-	obs.watch(rig.Cluster)
-	if obs.rec != nil {
+	ro.watch(rig.Cluster)
+	if ro.rec != nil {
 		// Stop sampling when the job completes: the sampler's periodic
 		// ticks would otherwise keep Engine.Run from ever draining.
-		rig.OnAllJobsDone = obs.rec.Stop
+		rig.OnAllJobsDone = ro.rec.Stop
 	}
 	res, err := rig.RunJob(spec)
 	if err != nil {
 		return err
 	}
-	obs.addJob(res.Name, res.CritPath)
-	obs.snapPerf(rig.Perf)
-	obs.simEnd = rig.Engine.Now()
+	ro.addJob(res.Name, res.CritPath)
+	ro.snapPerf(rig.Perf)
+	ro.simEnd = rig.Engine.Now()
 	fmt.Fprintf(out, "benchmark:    %s\n", res.Name)
 	fmt.Fprintf(out, "workers:      %d (%d PMs x %d VMs/PM)\n", len(rig.Workers), o.pms, o.vmsPerPM)
 	fmt.Fprintf(out, "JCT:          %.1fs\n", res.JCT.Seconds())

@@ -370,8 +370,8 @@ func TestChaosScenarioCompletesAndReports(t *testing.T) {
 }
 
 // TestChaosTraceIsDeterministic: two same-seed chaos runs (jobs plus
-// fault injection) emit byte-identical JSONL traces. This is the unit
-// form of the CI determinism gate.
+// fault injection) emit byte-identical JSONL traces. This is the chaos
+// determinism gate; CI runs it in the race-enabled test job.
 func TestChaosTraceIsDeterministic(t *testing.T) {
 	runChaosTrace := func(name string) []byte {
 		t.Helper()

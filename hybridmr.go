@@ -40,6 +40,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/resource"
@@ -82,6 +83,11 @@ type (
 	Rig = testbed.Rig
 	// RigOptions shapes a Rig.
 	RigOptions = testbed.Options
+	// ObsScope bundles a run's observers (tracer, metrics registry,
+	// audit log, perf and time-series collectors, fired-event counter);
+	// hand one to RigOptions.Obs. It is bound to the rig's engine once,
+	// and every layer of the rig records into it.
+	ObsScope = obs.Scope
 	// Experiment is one of the paper's figures.
 	Experiment = experiments.Experiment
 	// Tracer records structured spans and instant events from every
@@ -122,7 +128,7 @@ type (
 	FaultKind = fault.Kind
 	// PerfStats collects algorithmic cost counters and hierarchical
 	// wall-time spans from every layer of a deployment; hand one to
-	// ClusterSpec.Perf or RigOptions.Perf. Nil-safe: a nil *PerfStats
+	// ClusterSpec.Perf or RigOptions.Obs. Nil-safe: a nil *PerfStats
 	// disables all instrumentation.
 	PerfStats = perfstat.Stats
 	// PerfSnapshot is a point-in-time view of a PerfStats: counter map
@@ -140,7 +146,7 @@ type (
 	InvariantViolation = invariant.Violation
 	// TimeSeriesCollector aggregates counters, gauges and histogram
 	// digests into sim-clock windows with fixed memory regardless of run
-	// length; hand one to ClusterSpec.TimeSeries or RigOptions.TimeSeries.
+	// length; hand one to ClusterSpec.TimeSeries or RigOptions.Obs.
 	// Nil-safe: a nil collector disables all windowed telemetry.
 	TimeSeriesCollector = timeseries.Collector
 	// TimeSeriesSnapshot is one series' windowed aggregates.
@@ -221,7 +227,7 @@ const (
 var ParseFaultProfile = fault.ParseProfile
 
 // NewTracer builds an unbound tracer; hand it to ClusterSpec.Tracer or
-// RigOptions.Tracer and its clock is bound to the simulation engine when
+// RigOptions.Obs and its clock is bound to the simulation engine when
 // the cluster is assembled.
 func NewTracer() *Tracer { return trace.New(nil) }
 
@@ -230,7 +236,7 @@ var NewMetricsRegistry = trace.NewRegistry
 
 // NewAuditLog builds a decision log holding up to capacity records
 // (<= 0 uses a generous default); hand it to ClusterSpec.Audit or
-// RigOptions.Audit and its clock is bound to the simulation engine when
+// RigOptions.Obs and its clock is bound to the simulation engine when
 // the cluster is assembled.
 var NewAuditLog = audit.New
 
@@ -393,9 +399,6 @@ type HybridCluster struct {
 
 	engine         *sim.Engine
 	nextSvc        int
-	metricsReg     *MetricsRegistry
-	perfFlushed    perfstat.Counters
-	ts             *TimeSeriesCollector
 	sampleInterval time.Duration
 }
 
@@ -409,15 +412,11 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		spec.VMsPerHost = 2
 	}
 
-	perf := spec.Perf
-	if perf == nil && spec.Metrics != nil {
-		perf = perfstat.New()
+	sc := obs.Scope{
+		Trace: spec.Tracer, Metrics: spec.Metrics, Audit: spec.Audit,
+		Perf: spec.Perf, TimeSeries: spec.TimeSeries,
 	}
-
-	hc := &HybridCluster{
-		Perf: perf, metricsReg: spec.Metrics,
-		ts: spec.TimeSeries, sampleInterval: spec.SampleInterval,
-	}
+	hc := &HybridCluster{sampleInterval: spec.SampleInterval}
 	var engine *sim.Engine
 	var cl *cluster.Cluster
 
@@ -432,12 +431,8 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: !spec.VanillaHadoop,
 			},
-			Policies:   spec.Policies,
-			Tracer:     spec.Tracer,
-			Metrics:    spec.Metrics,
-			Audit:      spec.Audit,
-			Perf:       perf,
-			TimeSeries: spec.TimeSeries,
+			Policies: spec.Policies,
+			Obs:      sc,
 		})
 		if err != nil {
 			return nil, err
@@ -447,36 +442,17 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		hc.VMs = rig.VMs
 		hc.HostPMs = rig.PMs
 	} else {
-		engine = sim.New()
-		if perf != nil {
-			engine.SetPerf(perf)
-		}
+		engine = sim.New(sc)
 		cl = cluster.New(engine, cluster.Config{}, spec.Seed)
-		if spec.Tracer != nil || spec.Metrics != nil {
-			spec.Tracer.SetClock(engine)
-			cl.SetTrace(spec.Tracer, spec.Metrics)
-		}
-		if spec.Audit != nil {
-			spec.Audit.SetClock(engine)
-			cl.SetAudit(spec.Audit)
-		}
-		if ts := spec.TimeSeries; ts != nil {
-			// The virtual-partition path registers these through the
-			// testbed; a native-only deployment wires them here.
-			cl.SetTimeSeries(ts)
-			ts.ProbeCounter("sim.events", "", func() float64 { return float64(engine.Fired()) })
-			ts.Probe("sim.pending_events", "", func() float64 { return float64(engine.Pending()) })
-			ts.Probe("sim.freelist_events", "", func() float64 { return float64(engine.FreelistLen()) })
-			ts.Probe("sim.cancel_debt", "", func() float64 { return float64(engine.CancelDebt()) })
-		}
 	}
+	hc.Perf = engine.Obs().Perf
 
 	if spec.NativePMs > 0 {
 		pms := cl.AddPMs("native", spec.NativePMs)
 		cluster.StripeTopology(pms, spec.Racks, spec.PowerDomains)
 		nativeFS := dfs.New(engine, dfs.Config{}, spec.Seed+13)
 		nativeSched := mapred.Scheduler(mapred.Fair{})
-		nativeCfg := mapred.Config{}
+		nativeCfg := mapred.Config{TimeSeriesLabel: "native"}
 		if spec.Policies != nil {
 			nativeSched = spec.Policies.Phase2.NewScheduler()
 			sp := spec.Policies.Phase2.Speculation()
@@ -484,20 +460,6 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 			nativeCfg.SpeculationSlowdown = sp.Slowdown
 		}
 		hc.NativeJT = mapred.NewJobTracker(engine, nativeFS, nativeCfg, nativeSched)
-		if spec.Tracer != nil || spec.Metrics != nil {
-			nativeFS.SetTrace(spec.Tracer, spec.Metrics)
-			hc.NativeJT.SetTrace(spec.Tracer, spec.Metrics)
-		}
-		if spec.Audit != nil {
-			hc.NativeJT.SetAudit(spec.Audit)
-		}
-		if perf != nil {
-			nativeFS.SetPerf(perf)
-			hc.NativeJT.SetPerf(perf)
-		}
-		if spec.TimeSeries != nil {
-			hc.NativeJT.SetTimeSeries(spec.TimeSeries, "native")
-		}
 		for _, pm := range pms {
 			hc.NativeJT.AddTracker(pm)
 		}
@@ -514,18 +476,6 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 	sys, err := core.NewSystem(engine, cl, hc.NativeJT, hc.VirtualJT, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if spec.Tracer != nil || spec.Metrics != nil {
-		sys.SetTrace(spec.Tracer, spec.Metrics)
-	}
-	if spec.Audit != nil {
-		sys.SetAudit(spec.Audit)
-	}
-	if perf != nil {
-		sys.SetPerf(perf)
-	}
-	if spec.TimeSeries != nil {
-		sys.SetTimeSeries(spec.TimeSeries)
 	}
 	hc.System = sys
 	hc.Cluster = cl
@@ -548,15 +498,6 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		}
 	}
 	hc.Faults = fault.NewInjector(env, faultOpts)
-	if spec.Tracer != nil || spec.Metrics != nil {
-		hc.Faults.SetTrace(spec.Tracer, spec.Metrics)
-	}
-	if spec.Audit != nil {
-		hc.Faults.SetAudit(spec.Audit)
-	}
-	if perf != nil {
-		hc.Faults.SetPerf(perf)
-	}
 	if spec.Invariants != nil {
 		// One attach covering both partitions: the checker keeps the full
 		// FS/JT set so its end-of-run liveness sweep sees every job.
@@ -601,9 +542,7 @@ func (hc *HybridCluster) NewRecorder(interval time.Duration) *Recorder {
 	if interval <= 0 {
 		interval = hc.sampleInterval
 	}
-	rec := metrics.NewRecorder(hc.Cluster, interval, 0)
-	rec.SetTimeSeries(hc.ts)
-	return rec
+	return metrics.NewRecorder(hc.Cluster, interval, 0)
 }
 
 // RunFor advances simulated time by d.
@@ -619,27 +558,11 @@ func (hc *HybridCluster) RunUntilIdle() {
 	hc.FlushPerf()
 }
 
-// FlushPerf folds the cost-counter increments accumulated since the last
-// flush into the deployment's metrics registry as perfstat.* counters.
-// All counter names are materialized — including zero ones — so merged
-// snapshots keep a stable key set; wall-time spans stay out of the
-// registry (they are nondeterministic). RunFor and RunUntilIdle flush
+// FlushPerf folds the engine gauges and the cost-counter increments
+// accumulated since the last flush into the deployment's metrics
+// registry (see sim.Engine.FlushObs). RunFor and RunUntilIdle flush
 // automatically.
-func (hc *HybridCluster) FlushPerf() {
-	if hc.metricsReg != nil {
-		hc.metricsReg.Gauge("engine.pending_events").Set(float64(hc.engine.Pending()))
-		hc.metricsReg.Gauge("engine.freelist_events").Set(float64(hc.engine.FreelistLen()))
-		hc.metricsReg.Gauge("engine.cancel_debt").Set(float64(hc.engine.CancelDebt()))
-	}
-	if hc.Perf == nil || hc.metricsReg == nil {
-		return
-	}
-	delta := hc.Perf.C.Delta(hc.perfFlushed)
-	hc.perfFlushed = hc.Perf.C
-	delta.Each(func(name string, v int64) {
-		hc.metricsReg.Counter("perfstat." + name).Add(float64(v))
-	})
-}
+func (hc *HybridCluster) FlushPerf() { hc.engine.FlushObs() }
 
 // Now returns the current simulated time.
 func (hc *HybridCluster) Now() time.Duration { return hc.engine.Now() }

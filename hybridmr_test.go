@@ -1,6 +1,7 @@
 package hybridmr_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +166,63 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 	if _, ok := hybridmr.ExperimentByID("fig99"); ok {
 		t.Error("ByID accepted an unknown id")
+	}
+}
+
+// TestFlushPerfKeySetsMatch checks that a Rig and a HybridCluster fold
+// the same perfstat.* and engine.* key sets into their registries: both
+// flush through the engine, so neither may drift from the other.
+func TestFlushPerfKeySetsMatch(t *testing.T) {
+	keys := func(reg *hybridmr.MetricsRegistry) map[string]bool {
+		snap := reg.Snapshot()
+		out := map[string]bool{}
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, "perfstat.") {
+				out[name] = true
+			}
+		}
+		for name := range snap.Gauges {
+			if strings.HasPrefix(name, "engine.") {
+				out[name] = true
+			}
+		}
+		return out
+	}
+	rigReg := hybridmr.NewMetricsRegistry()
+	rig, err := hybridmr.NewRig(hybridmr.RigOptions{PMs: 2, Seed: 3, Obs: hybridmr.ObsScope{Metrics: rigReg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rig.Perf == nil {
+		t.Fatal("metrics rig built no perf collector")
+	}
+	if _, err := rig.RunJob(hybridmr.PiEst()); err != nil {
+		t.Fatal(err)
+	}
+
+	dcReg := hybridmr.NewMetricsRegistry()
+	dc, err := hybridmr.NewHybridCluster(hybridmr.ClusterSpec{NativePMs: 2, VirtualHostPMs: 2, Seed: 3, Metrics: dcReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	if dc.Perf == nil {
+		t.Fatal("metrics deployment built no perf collector")
+	}
+	dc.RunFor(time.Minute)
+
+	rk, dk := keys(rigReg), keys(dcReg)
+	if len(rk) == 0 {
+		t.Fatal("rig flushed no perfstat.* or engine.* keys")
+	}
+	for k := range rk {
+		if !dk[k] {
+			t.Errorf("%s flushed by Rig.FlushPerf but not HybridCluster.FlushPerf", k)
+		}
+	}
+	for k := range dk {
+		if !rk[k] {
+			t.Errorf("%s flushed by HybridCluster.FlushPerf but not Rig.FlushPerf", k)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -13,7 +14,7 @@ import (
 // testCluster builds an engine plus a cluster with deterministic config.
 func testCluster(t *testing.T) (*sim.Engine, *Cluster) {
 	t.Helper()
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	return engine, New(engine, DefaultConfig(), 1)
 }
 
@@ -136,7 +137,7 @@ func TestCrossVMIOContentionSuperlinear(t *testing.T) {
 	// Two VMs each running an I/O job must be slower than 2x the fair
 	// share alone would predict, because of the Dom-0 inflation.
 	mkJCT := func(nVM int) float64 {
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := New(engine, DefaultConfig(), 1)
 		pm := c.AddPM("pm-0")
 		var last float64
@@ -325,7 +326,7 @@ func TestAddVMMemoryExhaustion(t *testing.T) {
 
 func TestDom0ModeSmallOverhead(t *testing.T) {
 	run := func(dom0 bool) float64 {
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := New(engine, DefaultConfig(), 1)
 		pm := c.AddPM("pm-0")
 		pm.SetDom0Mode(dom0)
@@ -471,7 +472,7 @@ func TestMigrationMovesVM(t *testing.T) {
 
 func TestMigrationBusyVMTakesLonger(t *testing.T) {
 	migTime := func(busy bool) time.Duration {
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := New(engine, DefaultConfig(), 1)
 		src := c.AddPM("s")
 		dst := c.AddPM("d")
@@ -633,10 +634,10 @@ func TestVMCapLimitsIO(t *testing.T) {
 }
 
 func TestClusterMetricsInstrumentation(t *testing.T) {
-	engine, c := testCluster(t)
-	tr := trace.New(engine)
+	tr := trace.New(nil)
 	reg := trace.NewRegistry()
-	c.SetTrace(tr, reg)
+	engine := sim.New(obs.Scope{Trace: tr, Metrics: reg})
+	c := New(engine, DefaultConfig(), 1)
 
 	src := c.AddPM("pm-src")
 	dst := c.AddPM("pm-dst")

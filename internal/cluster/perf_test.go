@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -12,7 +13,7 @@ import (
 // each re-solve also reschedules completions.
 func warmHost(tb testing.TB) (*PM, []*Consumer) {
 	tb.Helper()
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := New(engine, DefaultConfig(), 1)
 	pm := c.AddPM("pm")
 	var nodes []Node

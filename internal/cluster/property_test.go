@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -18,7 +19,7 @@ import (
 func TestKernelAllocationInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := New(engine, DefaultConfig(), seed)
 		pm := c.AddPM("pm")
 		var vms []*VM
@@ -96,7 +97,7 @@ func TestKernelAllocationInvariants(t *testing.T) {
 func TestKernelNoSuperluminalProgress(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := New(engine, DefaultConfig(), seed)
 		pm := c.AddPM("pm")
 		type tracked struct {
@@ -329,7 +330,7 @@ func randomConsumer(rng *rand.Rand) *Consumer {
 func TestResolveMatchesFreshSliceReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := New(engine, DefaultConfig(), seed)
 		pms := []*PM{c.AddPM("pm-0"), c.AddPM("pm-1")}
 		var all []*Consumer

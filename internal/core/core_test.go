@@ -318,7 +318,7 @@ func TestDRMEstimatorLearns(t *testing.T) {
 
 // newTestProfiler trains on fast mini-sims.
 func newTestProfiler() *profiler.Profiler {
-	return profiler.New(SimRunner(testbed.Options{Seed: 77}))
+	return profiler.New(SimRunner(testbed.Options{Seed: 77}), nil)
 }
 
 func TestPlacerValidation(t *testing.T) {

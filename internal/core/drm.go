@@ -69,6 +69,7 @@ type DRM struct {
 	// Adjustments counts cap changes, for reporting.
 	Adjustments int
 
+	// Observers, read from the engine's scope at NewDRM.
 	tracer       *trace.Tracer
 	auditLog     *audit.Log
 	perf         *perfstat.Stats
@@ -82,33 +83,22 @@ func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoc
 	if epoch <= 0 {
 		epoch = 5 * time.Second
 	}
+	sc := engine.Obs()
 	return &DRM{
-		jt:         jt,
-		modes:      modes,
-		epoch:      epoch,
-		engine:     engine,
-		estimators: make(map[string]*interference.Predictor),
-		deferred:   make(map[*cluster.Consumer]bool),
-		Policy:     policy.PaperDRM{}.Params(),
+		jt:           jt,
+		modes:        modes,
+		epoch:        epoch,
+		engine:       engine,
+		estimators:   make(map[string]*interference.Predictor),
+		deferred:     make(map[*cluster.Consumer]bool),
+		Policy:       policy.PaperDRM{}.Params(),
+		tracer:       sc.Trace,
+		auditLog:     sc.Audit,
+		perf:         sc.Perf,
+		mAdjustments: sc.Metrics.Counter("drm.cap_adjustments"),
+		mDeferrals:   sc.Metrics.Counter("drm.deferrals"),
 	}
 }
-
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (d *DRM) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	d.tracer = tr
-	d.mAdjustments = reg.Counter("drm.cap_adjustments")
-	d.mDeferrals = reg.Counter("drm.deferrals")
-}
-
-// SetAudit installs a decision log; cap grants and memory deferrals are
-// recorded on it. A nil log keeps auditing off.
-func (d *DRM) SetAudit(l *audit.Log) { d.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; each epoch's
-// node sweep is then counted and timed. A nil collector keeps the
-// instrumentation off.
-func (d *DRM) SetPerf(ps *perfstat.Stats) { d.perf = ps }
 
 // Start begins the epoch loop. The loop parks itself whenever the job
 // queue drains and must be re-armed by the next Submit (see

@@ -2,18 +2,17 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -44,11 +43,6 @@ type Config struct {
 	Policies *policy.Set
 	// TrainingSeed parameterizes the Phase I training simulations.
 	TrainingSeed int64
-	// EventSink, when non-nil, accumulates fired-event totals from the
-	// Phase I training rigs (the nested simulations SimRunner spins up),
-	// so experiments attribute every simulated event — including
-	// profiler training — to the run that caused it.
-	EventSink *atomic.Uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -90,6 +84,8 @@ type System struct {
 
 	placements map[*mapred.Job]Placement
 
+	// Observers, read from the engine's scope at NewSystem; the DRM,
+	// IPS and profiler read the same scope.
 	tracer      *trace.Tracer
 	auditLog    *audit.Log
 	perf        *perfstat.Stats
@@ -105,19 +101,27 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
 	}
 	cfg = cfg.withDefaults()
+	sc := engine.Obs()
 	s := &System{
-		engine:     engine,
-		cluster:    cl,
-		cfg:        cfg,
-		NativeJT:   nativeJT,
-		VirtualJT:  virtualJT,
-		placements: make(map[*mapred.Job]Placement),
+		engine:      engine,
+		cluster:     cl,
+		cfg:         cfg,
+		NativeJT:    nativeJT,
+		VirtualJT:   virtualJT,
+		placements:  make(map[*mapred.Job]Placement),
+		tracer:      sc.Trace,
+		auditLog:    sc.Audit,
+		perf:        sc.Perf,
+		mPlacements: sc.Metrics.Counter("core.placements"),
 	}
+	// The training rigs are nested simulations: they attribute their
+	// events to the deployment's Fired counter but record into none of
+	// its other observers.
 	s.prof = profiler.New(SimRunner(testbed.Options{
 		Seed:          cfg.TrainingSeed,
 		ClusterConfig: cl.Config(),
-		EventSink:     cfg.EventSink,
-	}))
+		Obs:           obs.Scope{Fired: sc.Fired},
+	}), sc.Perf)
 	nativeNodes, virtualNodes := 0, 0
 	if nativeJT != nil {
 		nativeNodes = len(nativeJT.Trackers())
@@ -151,59 +155,6 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 
 // Engine returns the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.engine }
-
-// SetTrace installs a tracer and metrics registry on the system and its
-// Phase II controllers (the cluster, DFS and JobTrackers are wired where
-// they are built — see testbed.Options and hybridmr.ClusterSpec). Either
-// argument may be nil; instrumentation is then a no-op.
-func (s *System) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	s.tracer = tr
-	s.mPlacements = reg.Counter("core.placements")
-	if s.drm != nil {
-		s.drm.SetTrace(tr, reg)
-	}
-	if s.ips != nil {
-		s.ips.SetTrace(tr, reg)
-	}
-}
-
-// SetAudit installs a decision log on the system and its Phase II
-// controllers. Phase I placements (with the JCT estimates weighed), DRM
-// cap grants/deferrals and IPS mitigations are recorded on it; a nil
-// log keeps auditing off.
-func (s *System) SetAudit(l *audit.Log) {
-	s.auditLog = l
-	if s.drm != nil {
-		s.drm.SetAudit(l)
-	}
-	if s.ips != nil {
-		s.ips.SetAudit(l)
-	}
-}
-
-// SetPerf installs a performance-attribution collector on the system,
-// its Phase II controllers and the Phase I profiler. A nil collector
-// keeps the instrumentation off.
-func (s *System) SetPerf(ps *perfstat.Stats) {
-	s.perf = ps
-	if s.drm != nil {
-		s.drm.SetPerf(ps)
-	}
-	if s.ips != nil {
-		s.ips.SetPerf(ps)
-	}
-	s.prof.SetPerf(ps)
-}
-
-// SetTimeSeries attaches a windowed telemetry collector to the Phase II
-// controllers — currently the IPS, whose per-service latency and
-// SLA-violation series feed the SLO engine. A nil collector keeps the
-// series off.
-func (s *System) SetTimeSeries(ts *timeseries.Collector) {
-	if s.ips != nil {
-		s.ips.SetTimeSeries(ts)
-	}
-}
 
 // Profiler exposes the Phase I profiler (e.g. for pre-training or
 // accuracy experiments).

@@ -91,11 +91,10 @@ type FileSystem struct {
 	pool    []*DataNode
 	poolPos map[*DataNode]int
 
-	tracer *trace.Tracer
-	perf   *perfstat.Stats
-
-	// Cached metric handles; nil (a no-op) until SetTrace installs a
-	// registry.
+	// Observers, read from the engine's scope at New. The metric
+	// handles are nil (a no-op) when the scope carries no registry.
+	tracer             *trace.Tracer
+	perf               *perfstat.Stats
 	mReadNodeLocal     *trace.Counter
 	mReadHostLocal     *trace.Counter
 	mReadRemote        *trace.Counter
@@ -107,6 +106,8 @@ type FileSystem struct {
 
 // New creates an empty filesystem on the given engine.
 func New(engine *sim.Engine, cfg Config, seed int64) *FileSystem {
+	sc := engine.Obs()
+	reg := sc.Metrics
 	return &FileSystem{
 		engine:  engine,
 		cfg:     cfg.withDefaults(),
@@ -114,29 +115,21 @@ func New(engine *sim.Engine, cfg Config, seed int64) *FileSystem {
 		byNode:  make(map[cluster.Node]*DataNode),
 		files:   make(map[string]*File),
 		poolPos: make(map[*DataNode]int),
+		tracer:  sc.Trace,
+		perf:    sc.Perf,
+
+		mReadNodeLocal:     reg.Counter("dfs.reads.node_local"),
+		mReadHostLocal:     reg.Counter("dfs.reads.host_local"),
+		mReadRemote:        reg.Counter("dfs.reads.remote"),
+		mReReplications:    reg.Counter("dfs.blocks.rereplicated"),
+		mBlocksLost:        reg.Counter("dfs.blocks.lost"),
+		mBlocksRestored:    reg.Counter("dfs.blocks.restored"),
+		mReplicasCorrupted: reg.Counter("dfs.replicas.corrupted"),
 	}
 }
 
 // Config returns the effective configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (fs *FileSystem) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	fs.tracer = tr
-	fs.mReadNodeLocal = reg.Counter("dfs.reads.node_local")
-	fs.mReadHostLocal = reg.Counter("dfs.reads.host_local")
-	fs.mReadRemote = reg.Counter("dfs.reads.remote")
-	fs.mReReplications = reg.Counter("dfs.blocks.rereplicated")
-	fs.mBlocksLost = reg.Counter("dfs.blocks.lost")
-	fs.mBlocksRestored = reg.Counter("dfs.blocks.restored")
-	fs.mReplicasCorrupted = reg.Counter("dfs.replicas.corrupted")
-}
-
-// SetPerf installs a performance-attribution collector; block placement
-// and repair work is then counted and timed. A nil collector keeps the
-// instrumentation off.
-func (fs *FileSystem) SetPerf(ps *perfstat.Stats) { fs.perf = ps }
 
 // CountRead records a block read at the given locality in the metrics
 // registry and, when a tracer is installed, as an instant event on the

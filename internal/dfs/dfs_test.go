@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func testFS(t *testing.T, nPMs, vmsPerPM int) (*sim.Engine, *cluster.Cluster, *FileSystem, []cluster.Node) {
 	t.Helper()
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 42)
 	pms := c.AddPMs("pm", nPMs)
 	fs := New(engine, Config{}, 42)
@@ -93,7 +94,7 @@ func TestDeleteFreesSpace(t *testing.T) {
 }
 
 func TestLocalityLevels(t *testing.T) {
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 1)
 	pm0 := c.AddPM("pm-0")
 	pm1 := c.AddPM("pm-1")
@@ -263,7 +264,7 @@ func TestPlacementInvariants(t *testing.T) {
 	f := func(sizeRaw uint16, nNodes uint8) bool {
 		size := float64(sizeRaw%4096) + 1
 		n := int(nNodes%12) + 1
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := cluster.New(engine, cluster.DefaultConfig(), int64(nNodes))
 		pms := c.AddPMs("pm", n)
 		fs := New(engine, Config{}, int64(sizeRaw))
@@ -359,7 +360,7 @@ func TestHandleNodeFailuresBatch(t *testing.T) {
 
 func TestTotalReplicaLossReported(t *testing.T) {
 	// Replication 1: failing the only holder loses the block.
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 1)
 	pms := c.AddPMs("pm", 2)
 	fs := New(engine, Config{Replication: 1}, 1)
@@ -419,7 +420,7 @@ func TestReReplicationAndConcurrentReadSurviveNodeFailure(t *testing.T) {
 }
 
 func TestReadFailsCleanlyWhenAllReplicasGone(t *testing.T) {
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 9)
 	pms := c.AddPMs("pm", 3)
 	fs := New(engine, Config{Replication: 1}, 9)

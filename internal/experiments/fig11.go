@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -68,14 +69,14 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: true,
 			},
-			EventSink: sink,
+			Obs: obs.Scope{Fired: sink},
 		})
 		if err != nil {
 			return fig11Run{}, err
 		}
 		virtualJT = rig.JT
 	} else {
-		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, EventSink: sink})
+		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, Obs: obs.Scope{Fired: sink}})
 		if err != nil {
 			return fig11Run{}, err
 		}
@@ -91,7 +92,7 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 			nativeJT.AddTracker(pm)
 		}
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117, EventSink: sink})
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117})
 	if err != nil {
 		return fig11Run{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -37,8 +38,7 @@ func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, sink *
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: capacityAware,
 		},
-		EventSink: sink,
-		Metrics:   reg,
+		Obs: obs.Scope{Fired: sink, Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -84,7 +84,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, sink *atomic.Uint6
 	}
 	// The baseline is the paper's FCFS discipline: random placement with
 	// no Phase II protection, i.e. plain Hadoop on the hybrid hardware.
-	cfg := core.Config{TrainingSeed: seed, EventSink: sink}
+	cfg := core.Config{TrainingSeed: seed}
 	if !usePhase1 {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
@@ -248,8 +248,7 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: managed,
 		},
-		EventSink: sink,
-		Metrics:   reg,
+		Obs: obs.Scope{Fired: sink, Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -403,8 +402,7 @@ func Fig8d() (*Outcome, error) {
 				CapacityAware: ips,
 			},
 			Scheduler: mapred.FIFO{},
-			EventSink: &fired,
-			Metrics:   reg,
+			Obs:       obs.Scope{Fired: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -32,7 +33,7 @@ func Fig9a() (*Outcome, error) {
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: true,
 		},
-		EventSink: &fired,
+		Obs: obs.Scope{Fired: &fired},
 	})
 	if err != nil {
 		return nil, err
@@ -124,7 +125,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 	)
 	switch design {
 	case "Native":
-		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, EventSink: sink})
+		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, Obs: obs.Scope{Fired: sink}})
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +137,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		rig, err = testbed.New(testbed.Options{
 			PMs: 12, VMsPerPM: 2, Seed: 907,
 			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
-			EventSink:    sink,
+			Obs:          obs.Scope{Fired: sink},
 		})
 		if err != nil {
 			return nil, err
@@ -156,7 +157,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: true,
 			},
-			EventSink: sink,
+			Obs: obs.Scope{Fired: sink},
 		})
 		if err != nil {
 			return nil, err
@@ -180,7 +181,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		return nil, fmt.Errorf("experiments: unknown design %q", design)
 	}
 
-	cfg := core.Config{TrainingSeed: 907, EventSink: sink}
+	cfg := core.Config{TrainingSeed: 907}
 	if design != "HybridMR" {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true

@@ -184,25 +184,16 @@ func (in *Injector) SetInvariants(s InvariantSink) { in.inv = s }
 
 // NewInjector builds an injector over the environment. Nothing fires
 // until Arm.
+// It observes through the scope of env.Engine: every injected fault is
+// traced, counted and audited there, so recovery actions can be traced
+// back to their trigger.
 func NewInjector(env Env, opts Options) *Injector {
-	return &Injector{env: env, opts: opts, byKind: make(map[Kind]int)}
+	sc := env.Engine.Obs()
+	return &Injector{
+		env: env, opts: opts, byKind: make(map[Kind]int),
+		tracer: sc.Trace, reg: sc.Metrics, auditLog: sc.Audit, perf: sc.Perf,
+	}
 }
-
-// SetTrace installs a tracer and metrics registry. Either may be nil.
-func (in *Injector) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	in.tracer = tr
-	in.reg = reg
-}
-
-// SetAudit installs a decision log; every injected fault is recorded
-// on it so recovery actions can be traced back to their trigger. A nil
-// log keeps auditing off.
-func (in *Injector) SetAudit(l *audit.Log) { in.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; injections are
-// then counted and the injection paths timed. A nil collector keeps the
-// instrumentation off.
-func (in *Injector) SetPerf(ps *perfstat.Stats) { in.perf = ps }
 
 // Injections returns how many faults of each kind have fired so far.
 func (in *Injector) Injections() map[Kind]int {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/trace"
@@ -42,7 +43,7 @@ func TestHealthyFaultRunClean(t *testing.T) {
 	inv := invariant.New()
 	rig, err := testbed.New(testbed.Options{
 		PMs: 4, VMsPerPM: 2, Racks: 2, PowerDomains: 2, Seed: 5,
-		Audit:      audit.New(0),
+		Obs:        obs.Scope{Audit: audit.New(0)},
 		Invariants: inv,
 		Faults: &fault.Options{
 			Seed: 9,
@@ -83,7 +84,7 @@ func TestBrokenRecoveryFlagged(t *testing.T) {
 	rig, err := testbed.New(testbed.Options{
 		PMs: 4, VMsPerPM: 2, Seed: 3,
 		MapredConfig: mapred.Config{DisableMapReexecution: true},
-		Audit:        audit.New(0),
+		Obs:          obs.Scope{Audit: audit.New(0)},
 		Invariants:   inv,
 	})
 	if err != nil {
@@ -148,8 +149,7 @@ func TestPartitionDuringShuffleFetchGate(t *testing.T) {
 	reg := trace.NewRegistry()
 	rig, err := testbed.New(testbed.Options{
 		PMs: 6, VMsPerPM: 2, Racks: 3, PowerDomains: 2, Seed: 5,
-		Audit:      audit.New(0),
-		Metrics:    reg,
+		Obs:        obs.Scope{Audit: audit.New(0), Metrics: reg},
 		Invariants: inv,
 	})
 	if err != nil {
@@ -196,7 +196,7 @@ func TestPartitionDuringShuffleFetchGate(t *testing.T) {
 // The migration-commit checks fire on dead and partition-unreachable
 // destinations, and exact repeats deduplicate.
 func TestMigrationCommitChecks(t *testing.T) {
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	cl := cluster.New(engine, cluster.Config{}, 1)
 	pms := cl.AddPMs("pm", 3)
 	vm, err := cl.AddVM("vm-0", pms[0], 1, 512)

@@ -6,13 +6,14 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
 
 func memoryKindForTest() resource.Kind { return resource.Memory }
 
-func newEngineForTest() *sim.Engine { return sim.New() }
+func newEngineForTest() *sim.Engine { return sim.New(obs.Scope{}) }
 
 // newVirtualJT builds a virtual cluster (1 GB single-vCPU guests) with a
 // JobTracker over its VMs.

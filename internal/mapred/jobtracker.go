@@ -59,6 +59,11 @@ type Config struct {
 	// with each failure beyond the limit (default 60 s).
 	BlacklistBackoff time.Duration
 
+	// TimeSeriesLabel labels the JobTracker's task-depth probes in the
+	// engine scope's time-series collector (hybrid deployments run two
+	// JobTrackers against one collector; the native one is "native").
+	TimeSeriesLabel string
+
 	// DisableMapReexecution is a fault-injection hook: it turns off the
 	// re-execution of completed maps whose output node was lost, leaving
 	// reducers to consume vanished intermediate data. Only the chaos
@@ -306,15 +311,16 @@ type JobTracker struct {
 	pmTrackers map[*cluster.PM][]*TaskTracker
 	watched    map[*cluster.PM]bool
 
-	tracer     *trace.Tracer
-	auditLog   *audit.Log
-	perf       *perfstat.Stats
-	inv        InvariantSink
-	ts         *timeseries.Collector
-	countReads bool
+	inv InvariantSink
 
-	// Cached metric handles; nil (a no-op) until SetTrace installs a
-	// registry.
+	// Observers, read from the engine's scope at NewJobTracker. The
+	// metric handles are nil (a no-op) when the scope carries no
+	// registry; countReads is set when any per-read observer is on.
+	tracer               *trace.Tracer
+	auditLog             *audit.Log
+	perf                 *perfstat.Stats
+	ts                   *timeseries.Collector
+	countReads           bool
 	mSlotWait            *trace.Histogram
 	mAttemptDuration     *trace.Histogram
 	mSpeculative         *trace.Counter
@@ -334,7 +340,9 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 	if sched == nil {
 		sched = FIFO{}
 	}
-	return &JobTracker{
+	sc := engine.Obs()
+	reg := sc.Metrics
+	jt := &JobTracker{
 		engine:     engine,
 		fs:         fs,
 		cfg:        cfg.withDefaults(),
@@ -344,7 +352,36 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		dirtySet:   make(map[*cluster.PM]bool),
 		pmTrackers: make(map[*cluster.PM][]*TaskTracker),
 		watched:    make(map[*cluster.PM]bool),
+
+		tracer:     sc.Trace,
+		auditLog:   sc.Audit,
+		perf:       sc.Perf,
+		ts:         sc.TimeSeries,
+		countReads: sc.Trace != nil || reg != nil,
+
+		mSlotWait:            reg.Histogram("mapred.task.slot_wait_sec"),
+		mAttemptDuration:     reg.Histogram("mapred.attempt.duration_sec"),
+		mSpeculative:         reg.Counter("mapred.attempts.speculative"),
+		mKilled:              reg.Counter("mapred.attempts.killed"),
+		mRelocations:         reg.Counter("mapred.attempts.relocated"),
+		mJobsCompleted:       reg.Counter("mapred.jobs.completed"),
+		mTrackersLost:        reg.Counter("mapred.trackers.lost"),
+		mTrackersRestored:    reg.Counter("mapred.trackers.restored"),
+		mTrackersBlacklisted: reg.Counter("mapred.trackers.blacklisted"),
+		mMapsReexecuted:      reg.Counter("mapred.maps.reexecuted"),
+		mFetchFailures:       reg.Counter("mapred.shuffle.fetch_failures"),
 	}
+	// Slot waits become per-job windowed histograms (labeled by job
+	// name); pending/running task depths are probes the recorder samples
+	// each tick.
+	label := jt.cfg.TimeSeriesLabel
+	jt.ts.Probe("mapred.tasks.pending", label, func() float64 {
+		return float64(jt.schedulableMaps + jt.schedulableReds)
+	})
+	jt.ts.Probe("mapred.tasks.running", label, func() float64 {
+		return float64(len(jt.runningSorted))
+	})
+	return jt
 }
 
 // nodeBucket groups the running attempts on one compute node, ordered by
@@ -371,50 +408,6 @@ func (jt *JobTracker) ensureSpecTicker() {
 			return
 		}
 		jt.speculate()
-	})
-}
-
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (jt *JobTracker) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	jt.tracer = tr
-	jt.countReads = tr != nil || reg != nil
-	jt.mSlotWait = reg.Histogram("mapred.task.slot_wait_sec")
-	jt.mAttemptDuration = reg.Histogram("mapred.attempt.duration_sec")
-	jt.mSpeculative = reg.Counter("mapred.attempts.speculative")
-	jt.mKilled = reg.Counter("mapred.attempts.killed")
-	jt.mRelocations = reg.Counter("mapred.attempts.relocated")
-	jt.mJobsCompleted = reg.Counter("mapred.jobs.completed")
-	jt.mTrackersLost = reg.Counter("mapred.trackers.lost")
-	jt.mTrackersRestored = reg.Counter("mapred.trackers.restored")
-	jt.mTrackersBlacklisted = reg.Counter("mapred.trackers.blacklisted")
-	jt.mMapsReexecuted = reg.Counter("mapred.maps.reexecuted")
-	jt.mFetchFailures = reg.Counter("mapred.shuffle.fetch_failures")
-}
-
-// SetAudit installs a decision log. Slot assignments, speculation
-// triggers and tracker blacklisting decisions are recorded on it; a nil
-// log keeps auditing off.
-func (jt *JobTracker) SetAudit(l *audit.Log) { jt.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; scheduling
-// rounds, tracker×kind scans and speculation sweeps are then counted
-// and timed. A nil collector keeps the instrumentation off.
-func (jt *JobTracker) SetPerf(ps *perfstat.Stats) { jt.perf = ps }
-
-// SetTimeSeries attaches a windowed telemetry collector: slot waits
-// become per-job windowed histograms (labeled by job name), and
-// pending/running task depths are registered as probes the recorder
-// samples each tick, labeled with the given partition label (hybrid
-// deployments run two JobTrackers against one collector). A nil
-// collector keeps the series off.
-func (jt *JobTracker) SetTimeSeries(ts *timeseries.Collector, label string) {
-	jt.ts = ts
-	ts.Probe("mapred.tasks.pending", label, func() float64 {
-		return float64(jt.schedulableMaps + jt.schedulableReds)
-	})
-	ts.Probe("mapred.tasks.running", label, func() float64 {
-		return float64(len(jt.runningSorted))
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -43,7 +44,7 @@ func piLike() JobSpec {
 // rig builds an engine, native cluster, DFS and JobTracker over n PMs.
 func rig(t *testing.T, nPMs int, cfg Config, sched Scheduler) (*sim.Engine, *JobTracker) {
 	t.Helper()
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 7)
 	fs := dfs.New(engine, dfs.Config{}, 7)
 	jt := NewJobTracker(engine, fs, cfg, sched)
@@ -209,7 +210,7 @@ func TestFairSchedulerHelpsSmallJob(t *testing.T) {
 
 func TestSpeculationRescuesStraggler(t *testing.T) {
 	run := func(disable bool) time.Duration {
-		engine := sim.New()
+		engine := sim.New(obs.Scope{})
 		c := cluster.New(engine, cluster.DefaultConfig(), 7)
 		fs := dfs.New(engine, dfs.Config{}, 7)
 		jt := NewJobTracker(engine, fs, Config{DisableSpeculation: disable}, nil)
@@ -279,7 +280,7 @@ func TestKilledAttemptReexecutes(t *testing.T) {
 }
 
 func TestSplitArchitectureCompletes(t *testing.T) {
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 7)
 	fs := dfs.New(engine, dfs.Config{}, 7)
 	jt := NewJobTracker(engine, fs, Config{}, nil)
@@ -409,15 +410,12 @@ func TestWithHelpers(t *testing.T) {
 }
 
 func TestMapredMetricsInstrumentation(t *testing.T) {
-	engine := sim.New()
+	tr := trace.New(nil)
+	reg := trace.NewRegistry()
+	engine := sim.New(obs.Scope{Trace: tr, Metrics: reg})
 	c := cluster.New(engine, cluster.DefaultConfig(), 7)
 	fs := dfs.New(engine, dfs.Config{}, 7)
 	jt := NewJobTracker(engine, fs, Config{}, nil)
-	tr := trace.New(engine)
-	reg := trace.NewRegistry()
-	c.SetTrace(tr, reg)
-	fs.SetTrace(tr, reg)
-	jt.SetTrace(tr, reg)
 	pms := c.AddPMs("pm", 4)
 	for _, pm := range pms {
 		jt.AddTracker(pm)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -13,7 +14,7 @@ import (
 // pressure probe to zero allocations: it walks the machine's native and
 // per-VM consumers in place rather than copying the lists.
 func TestTrackerPressureZeroAllocs(t *testing.T) {
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 1)
 	pm := c.AddPM("pm")
 	nodes := []cluster.Node{pm}

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
 
 func rig(t *testing.T) (*sim.Engine, *cluster.Cluster, *cluster.PM) {
 	t.Helper()
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 5)
 	pm := c.AddPM("pm-0")
 	return engine, c, pm

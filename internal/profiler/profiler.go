@@ -393,22 +393,18 @@ type Profiler struct {
 	perf *perfstat.Stats
 }
 
-// SetPerf installs a performance-attribution collector; estimates,
-// database scans and training runs are then counted. A nil collector
-// keeps the instrumentation off.
-func (p *Profiler) SetPerf(ps *perfstat.Stats) {
-	p.perf = ps
-	p.DB.perf = ps
-}
-
-// New creates a profiler over a fresh database.
-func New(run Runner) *Profiler {
+// New creates a profiler over a fresh database. When ps is non-nil,
+// estimates, database scans and training runs are counted in it.
+func New(run Runner, ps *perfstat.Stats) *Profiler {
+	db := NewDB()
+	db.perf = ps
 	return &Profiler{
-		DB:             NewDB(),
+		DB:             db,
 		Run:            run,
 		TrainNodes:     []int{4, 8},
 		TrainFractions: []float64{0.05, 0.10},
 		Repeats:        3,
+		perf:           ps,
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 )
 
@@ -45,7 +46,7 @@ import (
 // Engines flush into it in batches when Run or RunUntil return, so the
 // hot loop pays no atomic operation per event; read it between runs, not
 // mid-run. Benchmark tooling that wants exact per-run totals should use
-// Engine.Fired or SetFiredSink instead.
+// Engine.Fired or a scope's Fired counter instead.
 var processEvents atomic.Uint64
 
 // ProcessEvents returns the total number of events fired by all engines
@@ -85,7 +86,11 @@ type Engine struct {
 	dead       int // queued events cancelled but not yet popped
 	maxPending int
 	halted     bool
-	sink       *atomic.Uint64
+
+	// obs is the observer scope bound at New; sink and perf cache its
+	// Fired and Perf handles so the pump reads plain fields.
+	obs  obs.Scope
+	sink *atomic.Uint64
 
 	// Heap-operation tallies for perfstat. They are engine-local plain
 	// integers (no atomics, no indirection) so the hot path stays
@@ -103,11 +108,64 @@ type Engine struct {
 	perfFlushedPops    uint64
 	perfFlushedSwaps   uint64
 	perfFlushedCompact uint64
+	// obsFlushed remembers the perf counters FlushObs already folded
+	// into the metrics registry.
+	obsFlushed perfstat.Counters
 }
 
-// New returns an Engine with its clock at zero.
-func New() *Engine {
-	return &Engine{}
+// New returns an Engine with its clock at zero, observed by sc for its
+// whole life. The tracer's and audit log's clocks are bound to the
+// engine; when sc carries Metrics but no Perf, a fresh collector is
+// created so cost counters surface in the registry at each FlushObs;
+// and a TimeSeries collector gets the engine's sim.* probes. Every layer
+// built on the engine reads the completed scope back through Obs.
+//
+// Heap-operation and fired-event counters reach sc.Perf and sc.Fired
+// in batches at Run/RunUntil boundaries, so the hot loop pays no atomic
+// operation per event; each pump is recorded as an "engine.pump"
+// wall-time span.
+func New(sc obs.Scope) *Engine {
+	e := &Engine{}
+	sc.Trace.SetClock(e)
+	sc.Audit.SetClock(e)
+	if sc.Perf == nil && sc.Metrics != nil {
+		sc.Perf = perfstat.New()
+	}
+	if ts := sc.TimeSeries; ts != nil {
+		ts.ProbeCounter("sim.events", "", func() float64 { return float64(e.Fired()) })
+		ts.Probe("sim.pending_events", "", func() float64 { return float64(e.Pending()) })
+		ts.Probe("sim.freelist_events", "", func() float64 { return float64(e.FreelistLen()) })
+		ts.Probe("sim.cancel_debt", "", func() float64 { return float64(e.CancelDebt()) })
+	}
+	e.obs, e.sink, e.perf = sc, sc.Fired, sc.Perf
+	return e
+}
+
+// Obs returns the observer scope bound at New, with its Perf collector
+// filled in when New created one.
+func (e *Engine) Obs() obs.Scope { return e.obs }
+
+// FlushObs folds the engine's occupancy gauges (pending events, freelist
+// size, lazy-cancel debt) and the cost-counter increments accumulated
+// since the last flush into the scope's metrics registry, the latter as
+// perfstat.* counters. All counter names are materialized — including
+// zero ones — so merged snapshots keep a stable key set. Wall-time spans
+// never enter the registry: they are nondeterministic and would break
+// byte-identical snapshot comparisons. A scope without Metrics makes
+// this a no-op.
+func (e *Engine) FlushObs() {
+	reg := e.obs.Metrics
+	if reg == nil {
+		return
+	}
+	reg.Gauge("engine.pending_events").Set(float64(e.Pending()))
+	reg.Gauge("engine.freelist_events").Set(float64(e.FreelistLen()))
+	reg.Gauge("engine.cancel_debt").Set(float64(e.CancelDebt()))
+	delta := e.perf.C.Delta(e.obsFlushed)
+	e.obsFlushed = e.perf.C
+	delta.Each(func(name string, v int64) {
+		reg.Counter("perfstat." + name).Add(float64(v))
+	})
 }
 
 // Now returns the current virtual time.
@@ -139,20 +197,6 @@ func (e *Engine) CancelDebt() int { return e.dead }
 // Cancelling an event that already fired (or was already cancelled) does
 // not count.
 func (e *Engine) Cancelled() uint64 { return e.cancelled }
-
-// SetFiredSink attaches an atomic counter that accumulates this engine's
-// fired-event total. The engine adds its as-yet-unflushed count whenever
-// Run or RunUntil return, so a sink shared by many engines (one per
-// concurrent sweep point) attributes every event without a per-event
-// atomic operation. Pass nil to detach.
-func (e *Engine) SetFiredSink(sink *atomic.Uint64) { e.sink = sink }
-
-// SetPerf attaches a performance-attribution collector. Heap-operation
-// and fired-event counters are accumulated engine-locally and flushed
-// into it at Run/RunUntil boundaries (the same batching as the fired
-// sink), and each pump is recorded as an "engine.pump" wall-time span.
-// Pass nil to detach.
-func (e *Engine) SetPerf(ps *perfstat.Stats) { e.perf = ps }
 
 // alloc takes an event from the freelist, or allocates one.
 func (e *Engine) alloc() *Event {

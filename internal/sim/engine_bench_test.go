@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The engine microbenchmarks cover the three hot paths of the simulator:
@@ -15,7 +17,7 @@ import (
 // BenchmarkScheduleFire measures raw schedule+fire throughput at queue
 // depth ~1: each iteration schedules one event and fires it.
 func BenchmarkScheduleFire(b *testing.B) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -28,7 +30,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 // benchDepth measures schedule+fire throughput with a standing queue of
 // the given depth, which exercises the heap's sift paths.
 func benchDepth(b *testing.B, depth int) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	for i := 0; i < depth; i++ {
 		e.After(time.Duration(i)*time.Millisecond, fn)
@@ -49,7 +51,7 @@ func BenchmarkScheduleFireDepth16384(b *testing.B) { benchDepth(b, 16384) }
 // deadline, cancel it, schedule the next — the event almost never fires.
 // A standing queue of live events keeps the heap honest.
 func BenchmarkScheduleCancel(b *testing.B) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	for i := 0; i < 256; i++ {
 		e.After(time.Duration(i)*time.Hour, fn)
@@ -65,7 +67,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 // BenchmarkTickerSteadyState measures one periodic-controller tick:
 // fire the tick callback and reschedule the next period.
 func BenchmarkTickerSteadyState(b *testing.B) {
-	e := New()
+	e := New(obs.Scope{})
 	tk := NewTicker(e, time.Second, func(time.Duration) {})
 	defer tk.Stop()
 	b.ReportAllocs()

@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestEngineOrdering(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var got []int
 	e.At(3*time.Second, func() { got = append(got, 3) })
 	e.At(1*time.Second, func() { got = append(got, 1) })
@@ -28,7 +30,7 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineSameInstantFIFO(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -43,7 +45,7 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 }
 
 func TestEngineCancel(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	fired := false
 	ev := e.After(time.Second, func() { fired = true })
 	e.Cancel(ev)
@@ -60,7 +62,7 @@ func TestEngineCancel(t *testing.T) {
 }
 
 func TestEngineCancelOneOfMany(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var got []int
 	evs := make([]*Event, 5)
 	for i := 0; i < 5; i++ {
@@ -81,7 +83,7 @@ func TestEngineCancelOneOfMany(t *testing.T) {
 }
 
 func TestEngineSchedulingInsideEvent(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var got []time.Duration
 	e.After(time.Second, func() {
 		got = append(got, e.Now())
@@ -96,7 +98,7 @@ func TestEngineSchedulingInsideEvent(t *testing.T) {
 }
 
 func TestEnginePastEventClamped(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var at time.Duration = -1
 	e.After(5*time.Second, func() {
 		e.At(time.Second, func() { at = e.Now() }) // in the past
@@ -108,7 +110,7 @@ func TestEnginePastEventClamped(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	count := 0
 	for i := 1; i <= 10; i++ {
 		e.At(time.Duration(i)*time.Second, func() { count++ })
@@ -124,7 +126,7 @@ func TestEngineRunUntil(t *testing.T) {
 		t.Errorf("Pending() = %d, want 5", e.Pending())
 	}
 	// RunUntil with no events in range still advances the clock.
-	e2 := New()
+	e2 := New(obs.Scope{})
 	e2.RunUntil(42 * time.Second)
 	if e2.Now() != 42*time.Second {
 		t.Errorf("empty RunUntil: Now() = %s, want 42s", e2.Now())
@@ -132,7 +134,7 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 func TestEngineHalt(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	count := 0
 	e.After(time.Second, func() { count++; e.Halt() })
 	e.After(2*time.Second, func() { count++ })
@@ -146,7 +148,7 @@ func TestEngineHalt(t *testing.T) {
 }
 
 func TestAfterSecondsEdgeCases(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	if ev := e.AfterSeconds(math.Inf(1), func() {}); ev != nil {
 		t.Error("AfterSeconds(+Inf) scheduled an event")
 	}
@@ -182,7 +184,7 @@ func TestDurationFromSeconds(t *testing.T) {
 }
 
 func TestTicker(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var ticks []time.Duration
 	tk := NewTicker(e, 10*time.Second, func(now time.Duration) {
 		ticks = append(ticks, now)
@@ -202,7 +204,7 @@ func TestTicker(t *testing.T) {
 }
 
 func TestTickerStopInsideCallback(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	count := 0
 	var tk *Ticker
 	tk = NewTicker(e, time.Second, func(time.Duration) {
@@ -221,7 +223,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 }
 
 func TestTickerZeroPeriod(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	tk := NewTicker(e, 0, func(time.Duration) { t.Error("zero-period ticker fired") })
 	if !tk.Stopped() {
 		t.Error("zero-period ticker not stopped")
@@ -230,7 +232,7 @@ func TestTickerZeroPeriod(t *testing.T) {
 }
 
 func TestEngineFiredCount(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	for i := 0; i < 7; i++ {
 		e.After(time.Duration(i)*time.Second, func() {})
 	}
@@ -241,7 +243,7 @@ func TestEngineFiredCount(t *testing.T) {
 }
 
 func TestTickerStopBeforeFirstTick(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	fired := false
 	tk := NewTicker(e, 10*time.Second, func(time.Duration) { fired = true })
 	if tk.Stopped() {
@@ -268,7 +270,7 @@ func TestTickerRestartSemantics(t *testing.T) {
 	// A stopped ticker stays stopped; restarting means creating a new
 	// ticker, whose phase is one full period from the moment of creation
 	// (not from the old ticker's schedule).
-	e := New()
+	e := New(obs.Scope{})
 	var first []time.Duration
 	tk := NewTicker(e, 10*time.Second, func(now time.Duration) { first = append(first, now) })
 	e.RunUntil(25 * time.Second)
@@ -298,7 +300,7 @@ func TestTickerRestartSemantics(t *testing.T) {
 func TestTickerHorizonAlignment(t *testing.T) {
 	// RunUntil(t) is inclusive of events at exactly t, so a ticker whose
 	// period divides the horizon fires on the boundary itself.
-	e := New()
+	e := New(obs.Scope{})
 	var ticks []time.Duration
 	tk := NewTicker(e, 10*time.Second, func(now time.Duration) { ticks = append(ticks, now) })
 	e.RunUntil(30 * time.Second)
@@ -312,7 +314,7 @@ func TestTickerHorizonAlignment(t *testing.T) {
 }
 
 func TestEngineAccountingUnderCancel(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	events := make([]*Event, 10)
 	for i := range events {
 		events[i] = e.After(time.Duration(i+1)*time.Second, func() {})

@@ -4,13 +4,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestSteadyStateSchedulingZeroAllocs pins the freelist contract: once
 // warm, the schedule+fire loop — the hottest path in the repository —
 // must not allocate at all.
 func TestSteadyStateSchedulingZeroAllocs(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	// Warm the freelist and the queue's backing array.
 	for i := 0; i < 64; i++ {
@@ -29,7 +31,7 @@ func TestSteadyStateSchedulingZeroAllocs(t *testing.T) {
 // TestTickerZeroAllocs pins the Ticker steady state: the tick closure is
 // allocated once at construction and reused every period.
 func TestTickerZeroAllocs(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	tk := NewTicker(e, time.Second, func(time.Duration) {})
 	defer tk.Stop()
 	e.Step() // warm: first tick recycles its event into the freelist
@@ -43,7 +45,7 @@ func TestTickerZeroAllocs(t *testing.T) {
 // must not allocate once the freelist is warm (the compactor recycles
 // dead events back into it).
 func TestCancelZeroAllocs(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	for i := 0; i < 512; i++ {
 		e.Cancel(e.After(time.Hour, fn))
@@ -59,7 +61,7 @@ func TestCancelZeroAllocs(t *testing.T) {
 // TestEventRecycling verifies fired events return to the freelist and
 // back the next schedule, rather than being reallocated.
 func TestEventRecycling(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	first := e.After(time.Second, fn)
 	e.Run()
@@ -77,7 +79,7 @@ func TestEventRecycling(t *testing.T) {
 // growing without bound under schedule+cancel churn, and that survivors
 // still fire in order afterwards.
 func TestCancelChurnBounded(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -110,7 +112,7 @@ func TestCancelChurnBounded(t *testing.T) {
 // callback is executing — the Ticker.Stop-inside-callback pattern — is a
 // safe no-op.
 func TestCancelCurrentlyFiringEvent(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	var ev *Event
 	ran := false
 	ev = e.After(time.Second, func() {
@@ -137,8 +139,7 @@ func TestCancelCurrentlyFiringEvent(t *testing.T) {
 // Run/RunUntil boundaries.
 func TestFiredSink(t *testing.T) {
 	var sink atomic.Uint64
-	e := New()
-	e.SetFiredSink(&sink)
+	e := New(obs.Scope{Fired: &sink})
 	for i := 0; i < 5; i++ {
 		e.After(time.Duration(i)*time.Second, func() {})
 	}
@@ -151,8 +152,7 @@ func TestFiredSink(t *testing.T) {
 		t.Errorf("sink = %d after Run, want 5", got)
 	}
 	// A second engine sharing the sink accumulates.
-	e2 := New()
-	e2.SetFiredSink(&sink)
+	e2 := New(obs.Scope{Fired: &sink})
 	e2.After(time.Second, func() {})
 	e2.Run()
 	if got := sink.Load(); got != 6 {

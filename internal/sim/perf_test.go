@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 )
 
@@ -11,8 +12,7 @@ import (
 // into an attached perfstat collector at Run/RunUntil boundaries.
 func TestEnginePerfCounters(t *testing.T) {
 	ps := perfstat.New()
-	e := New()
-	e.SetPerf(ps)
+	e := New(obs.Scope{Perf: ps})
 	for i := 0; i < 10; i++ {
 		e.After(time.Duration(i)*time.Second, func() {})
 	}
@@ -50,8 +50,7 @@ func TestEnginePerfCounters(t *testing.T) {
 // collector.
 func TestEnginePerfCompactions(t *testing.T) {
 	ps := perfstat.New()
-	e := New()
-	e.SetPerf(ps)
+	e := New(obs.Scope{Perf: ps})
 	for i := 0; i < 10_000; i++ {
 		e.Cancel(e.After(time.Hour, func() {}))
 	}
@@ -66,8 +65,7 @@ func TestEnginePerfCompactions(t *testing.T) {
 // schedule+pump loop (including the span Enter/Exit and the counter
 // flush) must still allocate nothing.
 func TestPumpZeroAllocsPerfEnabled(t *testing.T) {
-	e := New()
-	e.SetPerf(perfstat.New())
+	e := New(obs.Scope{Perf: perfstat.New()})
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.After(time.Duration(i), fn)
@@ -86,7 +84,7 @@ func TestPumpZeroAllocsPerfEnabled(t *testing.T) {
 // collector attached the same loop is equally allocation-free (the
 // instrumentation is nil checks and engine-local integer adds).
 func TestPumpZeroAllocsPerfDisabled(t *testing.T) {
-	e := New()
+	e := New(obs.Scope{})
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.After(time.Duration(i), fn)
@@ -104,8 +102,7 @@ func TestPumpZeroAllocsPerfDisabled(t *testing.T) {
 // TestCancelZeroAllocsPerfEnabled extends the cancel-churn zero-alloc
 // guarantee to the instrumented compactor.
 func TestCancelZeroAllocsPerfEnabled(t *testing.T) {
-	e := New()
-	e.SetPerf(perfstat.New())
+	e := New(obs.Scope{Perf: perfstat.New()})
 	fn := func() {}
 	for i := 0; i < 512; i++ {
 		e.Cancel(e.After(time.Hour, fn))

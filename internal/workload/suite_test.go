@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -148,7 +149,7 @@ func TestGenerateSuiteValidation(t *testing.T) {
 }
 
 func TestScheduleSuiteDelivers(t *testing.T) {
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	var submitted []Arrival
 	arrivals, err := ScheduleSuite(SuiteSpec{
 		Mix:              DefaultMix(512),

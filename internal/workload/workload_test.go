@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -59,7 +60,7 @@ func TestByName(t *testing.T) {
 
 func deployOnVM(t *testing.T) (*sim.Engine, *cluster.Cluster, *Service, *cluster.VM) {
 	t.Helper()
-	engine := sim.New()
+	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 3)
 	pm := c.AddPM("pm-0")
 	vm, err := c.AddVM("vm-0", pm, 1, 1024)
