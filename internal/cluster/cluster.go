@@ -219,6 +219,10 @@ type Cluster struct {
 	// scratch holds PM.resolve's reusable buffers (pm.go).
 	scratch resolveScratch
 
+	// topoEpoch counts the changes that can move a node to another
+	// machine or a machine to another rack; see TopologyEpoch.
+	topoEpoch uint64
+
 	inv InvariantSink
 
 	// Observers, read from the engine's scope at New. The metric
@@ -279,6 +283,13 @@ func (c *Cluster) SetInvariants(s InvariantSink) { c.inv = s }
 // Config returns the effective (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
+// TopologyEpoch returns a counter that moves whenever a node's Machine()
+// or a PM's Rack() may have changed: a VM is added, a migration commits
+// on its destination, a VM is destroyed (its own crash or its host's), or
+// a rack label is set. Callers that cache where nodes sit compare it to
+// the value they built at instead of rescanning every node.
+func (c *Cluster) TopologyEpoch() uint64 { return c.topoEpoch }
+
 // AddPM provisions a physical machine.
 func (c *Cluster) AddPM(name string) *PM {
 	pm := &PM{
@@ -331,6 +342,7 @@ func (c *Cluster) AddVM(name string, host *PM, vcpus int, memMB float64) (*VM, e
 	}
 	host.vms = append(host.vms, vm)
 	c.vms = append(c.vms, vm)
+	c.topoEpoch++
 	host.update()
 	if c.tracer != nil {
 		c.tracer.Instant(vm.name, "vm", "boot",

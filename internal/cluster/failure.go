@@ -56,6 +56,7 @@ func (pm *PM) Fail() error {
 	for _, vm := range vms {
 		pm.cluster.vms = removeVM(pm.cluster.vms, vm)
 		vm.host = nil
+		pm.cluster.topoEpoch++
 		vm.state = VMDestroyed
 		vm.pauseSpan.End()
 		vm.pauseSpan = trace.Span{}
@@ -107,6 +108,7 @@ func (c *Cluster) destroyVM(vm *VM) {
 	copy(victims, vm.consumers)
 	c.vms = removeVM(c.vms, vm)
 	vm.host = nil
+	c.topoEpoch++
 	vm.state = VMDestroyed
 	vm.pauseSpan.End()
 	vm.pauseSpan = trace.Span{}

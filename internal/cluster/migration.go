@@ -156,6 +156,7 @@ func (c *Cluster) migrate(vm *VM, dst *PM, done func(MigrationStats), retries in
 			c.migrations = removeMigration(c.migrations, m)
 			dst.settle()
 			vm.host = dst
+			c.topoEpoch++
 			for _, cons := range vm.consumers {
 				cons.host = dst
 			}

@@ -65,6 +65,9 @@ func (pm *PM) IsVirtual() bool { return false }
 // Machine returns the PM itself.
 func (pm *PM) Machine() *PM { return pm }
 
+// Cluster returns the cluster the PM belongs to.
+func (pm *PM) Cluster() *Cluster { return pm.cluster }
+
 // Capacity returns the raw hardware capacity.
 func (pm *PM) Capacity() resource.Vector { return pm.capacity }
 

@@ -29,7 +29,10 @@ func (pm *PM) Rack() string { return pm.rack }
 func (pm *PM) PowerDomain() string { return pm.powerDomain }
 
 // SetRack assigns the PM to a named rack.
-func (pm *PM) SetRack(name string) { pm.rack = name }
+func (pm *PM) SetRack(name string) {
+	pm.rack = name
+	pm.cluster.topoEpoch++
+}
 
 // SetPowerDomain assigns the PM to a named power domain.
 func (pm *PM) SetPowerDomain(name string) { pm.powerDomain = name }
@@ -48,6 +51,7 @@ func StripeTopology(pms []*PM, racks, powerDomains int) {
 	for i, pm := range pms {
 		if racks > 0 {
 			pm.rack = fmt.Sprintf("rack-%d", i*racks/n)
+			pm.cluster.topoEpoch++
 		}
 		if powerDomains > 0 {
 			pm.powerDomain = fmt.Sprintf("pd-%d", i%powerDomains)

@@ -237,14 +237,14 @@ func (p *IPS) arbitrate(st *ipsService) {
 		p.backoff[svcPM] = bo
 	}
 	blacklistedNow := false
-	for _, tr := range p.jt.Trackers() {
+	p.jt.EachTracker(func(tr *mapred.TaskTracker) {
 		if tr.Compute.Machine() == svcPM && !tr.Disabled() {
 			tr.SetDisabled(true)
 			p.blacklisted[tr] = st.svc.Spec().Name
 			blacklistedNow = true
 			p.log("blacklist", st.svc.Spec().Name, tr.Compute.Name())
 		}
-	}
+	})
 	if blacklistedNow {
 		bo.count++
 		hold := 30 * time.Second << uint(minInt(bo.count-1, 5))
@@ -369,52 +369,47 @@ func (p *IPS) bestFitTracker(a *mapred.Attempt, avoid *cluster.PM) *mapred.TaskT
 	demand := a.Consumer().Demand
 	var best *mapred.TaskTracker
 	bestLeft := 0.0
-	for _, tr := range p.jt.Trackers() {
+	p.jt.EachTracker(func(tr *mapred.TaskTracker) {
 		if tr.Compute.Machine() == avoid {
-			continue
+			return
 		}
 		if tr.FreeSlots(a.Task.Kind) <= 0 {
-			continue
+			return
 		}
 		// Never evict interference onto a machine hosting any watched
 		// service — that just moves the problem.
 		if p.hostsAnyService(tr.Compute.Machine()) {
-			continue
+			return
 		}
 		free := p.freeCapacity(tr.Compute)
 		left := 0.0
-		fits := true
 		for _, k := range [...]resource.Kind{resource.CPU, resource.DiskIO, resource.NetIO} {
 			d := demand.Get(k)
 			f := free.Get(k)
 			if d > f {
-				fits = false
-				break
+				return
 			}
 			left += f - d
-		}
-		if !fits {
-			continue
 		}
 		if best == nil || left < bestLeft {
 			best, bestLeft = tr, left
 		}
-	}
+	})
 	if best == nil {
 		// Fall back to the emptiest service-free tracker with a free
 		// slot, even if the task will contend there: re-execution beats
 		// SLA violation.
-		for _, tr := range p.jt.Trackers() {
+		p.jt.EachTracker(func(tr *mapred.TaskTracker) {
 			if tr.Compute.Machine() == avoid || tr.FreeSlots(a.Task.Kind) <= 0 {
-				continue
+				return
 			}
 			if p.hostsAnyService(tr.Compute.Machine()) {
-				continue
+				return
 			}
 			if best == nil || len(tr.Compute.Consumers()) < len(best.Compute.Consumers()) {
 				best = tr
 			}
-		}
+		})
 	}
 	return best
 }

@@ -124,10 +124,10 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	}), sc.Perf)
 	nativeNodes, virtualNodes := 0, 0
 	if nativeJT != nil {
-		nativeNodes = len(nativeJT.Trackers())
+		nativeNodes = nativeJT.TrackerCount()
 	}
 	if virtualJT != nil {
-		virtualNodes = len(virtualJT.Trackers())
+		virtualNodes = virtualJT.TrackerCount()
 	}
 	pol := cfg.Policies
 	if pol == nil {
@@ -245,7 +245,7 @@ func (s *System) SubmitJob(spec mapred.JobSpec, desiredJCT time.Duration, onDone
 		jt = s.NativeJT
 		env = profiler.Native
 	}
-	nodes := len(jt.Trackers())
+	nodes := jt.TrackerCount()
 	job, err := jt.Submit(spec, func(j *mapred.Job) {
 		// Online profiling: fold the production run back into the Phase I
 		// database so future placement decisions use real history.

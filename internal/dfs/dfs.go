@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -91,6 +92,13 @@ type FileSystem struct {
 	pool    []*DataNode
 	poolPos map[*DataNode]int
 
+	// dnVersion moves whenever a DataNode is registered or removed.
+	// Together with the topology epochs of the clusters backing the
+	// DataNodes, it decides when topo is stale.
+	dnVersion uint64
+	clusters  []*cluster.Cluster
+	topo      topoCache
+
 	// Observers, read from the engine's scope at New. The metric
 	// handles are nil (a no-op) when the scope carries no registry.
 	tracer             *trace.Tracer
@@ -115,6 +123,7 @@ func New(engine *sim.Engine, cfg Config, seed int64) *FileSystem {
 		byNode:  make(map[cluster.Node]*DataNode),
 		files:   make(map[string]*File),
 		poolPos: make(map[*DataNode]int),
+		topo:    topoCache{onMachine: make(map[*cluster.PM]int)},
 		tracer:  sc.Trace,
 		perf:    sc.Perf,
 
@@ -163,6 +172,10 @@ func (fs *FileSystem) AddDataNode(n cluster.Node) *DataNode {
 	fs.byNode[n] = d
 	fs.poolPos[d] = len(fs.pool)
 	fs.pool = append(fs.pool, d)
+	fs.dnVersion++
+	if pm := n.Machine(); pm != nil && !slices.Contains(fs.clusters, pm.Cluster()) {
+		fs.clusters = append(fs.clusters, pm.Cluster())
+	}
 	return d
 }
 
@@ -355,20 +368,55 @@ func nodeIsolated(d *DataNode) bool {
 
 // spansRacks reports whether the registered DataNodes sit in more than
 // one rack — the condition under which rack-diverse placement engages.
-func (fs *FileSystem) spansRacks() bool {
-	first := ""
-	seen := false
+func (fs *FileSystem) spansRacks() bool { return fs.topology().spansRacks }
+
+// OffHostFraction is the probability that a random DataNode lives on a
+// different physical machine than n — the share of replication traffic
+// that crosses the wire.
+func (fs *FileSystem) OffHostFraction(n cluster.Node) float64 {
+	total := len(fs.datanodes)
+	if total == 0 {
+		return 1
+	}
+	return float64(total-fs.topology().onMachine[n.Machine()]) / float64(total)
+}
+
+// topoCache holds what placement and the shuffle estimate read about
+// where the DataNodes sit, so neither scans the fleet per block or per
+// reduce launch. Its zero inputs describe an empty filesystem correctly.
+type topoCache struct {
+	epoch, version uint64 // the inputs it was built at
+	spansRacks     bool
+	// onMachine counts DataNodes per Machine(); the nil key counts those
+	// whose VM was destroyed.
+	onMachine map[*cluster.PM]int
+}
+
+// topology returns the topology cache, rebuilding it in place when a
+// DataNode was registered or removed, or a backing cluster's topology
+// epoch moved since it was built. The counts are keyed on each node's
+// Machine(), not on the PMs' VM lists: during a migration's stop-and-copy
+// the VM has left its source's list while Machine() still names the
+// source.
+func (fs *FileSystem) topology() *topoCache {
+	t := &fs.topo
+	var epoch uint64
+	for _, c := range fs.clusters {
+		epoch += c.TopologyEpoch()
+	}
+	if t.epoch == epoch && t.version == fs.dnVersion {
+		return t
+	}
+	t.epoch, t.version = epoch, fs.dnVersion
+	t.spansRacks = false
+	clear(t.onMachine)
 	for _, d := range fs.datanodes {
-		r := nodeRack(d)
-		if !seen {
-			first, seen = r, true
-			continue
-		}
-		if r != first {
-			return true
+		t.onMachine[d.node.Machine()]++
+		if !t.spansRacks && nodeRack(d) != nodeRack(fs.datanodes[0]) {
+			t.spansRacks = true
 		}
 	}
-	return false
+	return t
 }
 
 // FailureReport summarizes the namespace damage after a DataNode loss.
@@ -403,6 +451,7 @@ func (fs *FileSystem) HandleNodeFailures(nodes []cluster.Node) FailureReport {
 		}
 		failedSet[failed] = struct{}{}
 		delete(fs.byNode, n)
+		fs.dnVersion++
 		for i, d := range fs.datanodes {
 			if d == failed {
 				fs.datanodes = append(fs.datanodes[:i], fs.datanodes[i+1:]...)

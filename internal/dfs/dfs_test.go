@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-func testFS(t *testing.T, nPMs, vmsPerPM int) (*sim.Engine, *cluster.Cluster, *FileSystem, []cluster.Node) {
+func testFS(t testing.TB, nPMs, vmsPerPM int) (*sim.Engine, *cluster.Cluster, *FileSystem, []cluster.Node) {
 	t.Helper()
 	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 42)

@@ -689,11 +689,11 @@ func (in *Injector) RepairPM(pm *cluster.PM) int {
 	pm.PowerOn()
 	in.record(PMRepair, pm.Name())
 	for _, jt := range in.env.JTs {
-		for _, tr := range jt.Trackers() {
+		jt.EachTracker(func(tr *mapred.TaskTracker) {
 			if sp, ok := tr.Storage.(*cluster.PM); ok && sp == pm {
 				jt.FS().AddDataNode(pm)
 			}
-		}
+		})
 	}
 	copies := 0
 	for _, fs := range in.env.FSs {
@@ -828,12 +828,13 @@ func (in *Injector) findVM(name string) *cluster.VM {
 }
 
 func (in *Injector) findTracker(name string) *mapred.TaskTracker {
+	var found *mapred.TaskTracker
 	for _, jt := range in.env.JTs {
-		for _, tr := range jt.Trackers() {
-			if tr.Compute.Name() == name {
-				return tr
+		jt.EachTracker(func(tr *mapred.TaskTracker) {
+			if found == nil && tr.Compute.Name() == name {
+				found = tr
 			}
-		}
+		})
 	}
-	return nil
+	return found
 }

@@ -16,7 +16,9 @@ import (
 //     must be: a tracker whose map slots are full but reduce slots are
 //     empty would otherwise sit in every map wave's scan as a no-op
 //     visit, and with waves sized to the fleet those visits are the
-//     O(n^2) the sweep measured.
+//     O(n^2) the sweep measured. Each set is a freeSet of bounded sorted
+//     chunks, so keeping it ordered costs a bounded move per change
+//     instead of shifting the whole tail of one fleet-sized slice.
 //   - runningSorted: every running attempt ordered by consumer name,
 //     maintained at launch/release. RunningAttempts() copies it instead
 //     of rebuilding and sorting from the attempts map.
@@ -33,43 +35,126 @@ import (
 // schedule() entry always equals what a fresh computation would return —
 // the index changes where the cost goes, never what is decided.
 
-// freeLess orders the free-slot index: by cached pressure then
-// registration index under CapacityAware (the stable-sort order the old
-// code produced each call), by registration index alone otherwise (the
-// fixed heartbeat order of vanilla Hadoop).
-func (jt *JobTracker) freeLess(a, b *TaskTracker) bool {
-	if jt.cfg.CapacityAware && a.pressure != b.pressure {
+// freeChunkMax bounds one chunk of a free-slot set. A full chunk splits
+// in two before it takes another tracker, so an insert, a remove or a
+// re-key moves at most this many pointers, whatever the fleet size.
+const freeChunkMax = 256
+
+// freeSet is one free-slot set: the trackers with a free slot of one task
+// type, ordered by (cached pressure, registration index) when byPressure
+// is set and by registration index alone otherwise. The order is held as
+// a list of sorted, non-empty chunks whose concatenation is the set; a
+// lookup binary-searches the chunks' last elements, then the one chunk.
+type freeSet struct {
+	byPressure bool
+	chunks     [][]*TaskTracker
+	// spare holds emptied chunks for reuse. Small clusters empty and
+	// refill their sets on every slot cycle, and a chunk freed each time
+	// would be garbage the collector has to chase.
+	spare [][]*TaskTracker
+}
+
+// less is the set's order: by cached pressure then registration index
+// under CapacityAware (the stable-sort order the scan-based scheduler
+// produced each call), by registration index alone otherwise (the fixed
+// heartbeat order of vanilla Hadoop). Registration indexes are unique, so
+// no two members compare equal.
+func (s *freeSet) less(a, b *TaskTracker) bool {
+	if s.byPressure && a.pressure != b.pressure {
 		return a.pressure < b.pressure
 	}
 	return a.idx < b.idx
 }
 
-// freeInsert adds a tracker to one free-slot set at its sorted position,
-// returning the updated slice.
-func (jt *JobTracker) freeInsert(set []*TaskTracker, tr *TaskTracker) []*TaskTracker {
-	i := sort.Search(len(set), func(i int) bool {
-		return jt.freeLess(tr, set[i])
+// insert adds a tracker at its ordered position.
+func (s *freeSet) insert(tr *TaskTracker) {
+	if len(s.chunks) == 0 {
+		s.chunks = append(s.chunks, append(s.newChunk(), tr))
+		return
+	}
+	// The first chunk whose last member sorts after tr takes it; a tracker
+	// sorting after every member goes to the end of the last chunk.
+	ci := sort.Search(len(s.chunks), func(i int) bool {
+		c := s.chunks[i]
+		return s.less(tr, c[len(c)-1])
 	})
-	set = append(set, nil)
-	copy(set[i+1:], set[i:])
-	set[i] = tr
-	return set
+	if ci == len(s.chunks) {
+		ci--
+	}
+	if len(s.chunks[ci]) == freeChunkMax {
+		s.split(ci)
+		if c := s.chunks[ci]; s.less(c[len(c)-1], tr) {
+			ci++
+		}
+	}
+	c := s.chunks[ci]
+	j := sort.Search(len(c), func(j int) bool { return s.less(tr, c[j]) })
+	c = append(c, nil)
+	copy(c[j+1:], c[j:])
+	c[j] = tr
+	s.chunks[ci] = c
 }
 
-// freeRemove deletes a tracker from one free-slot set. The search runs
-// on the same cached key the element was inserted under, so it always
-// lands on the exact slot.
-func (jt *JobTracker) freeRemove(set []*TaskTracker, tr *TaskTracker) []*TaskTracker {
-	i := sort.Search(len(set), func(i int) bool {
-		return !jt.freeLess(set[i], tr)
+// remove deletes a tracker. The search runs on the same cached key the
+// tracker was inserted under, so it lands on the exact slot; a tracker
+// that is not a member is left alone.
+func (s *freeSet) remove(tr *TaskTracker) {
+	ci := sort.Search(len(s.chunks), func(i int) bool {
+		c := s.chunks[i]
+		return !s.less(c[len(c)-1], tr)
 	})
-	for i < len(set) && set[i] != tr {
-		i++ // equal keys cannot happen (idx is unique); defensive only
+	if ci == len(s.chunks) {
+		return
 	}
-	if i < len(set) {
-		set = append(set[:i], set[i+1:]...)
+	c := s.chunks[ci]
+	j := sort.Search(len(c), func(j int) bool { return !s.less(c[j], tr) })
+	if c[j] != tr {
+		return
 	}
-	return set
+	copy(c[j:], c[j+1:])
+	c[len(c)-1] = nil
+	c = c[:len(c)-1]
+	if len(c) > 0 {
+		s.chunks[ci] = c
+		return
+	}
+	s.spare = append(s.spare, c)
+	copy(s.chunks[ci:], s.chunks[ci+1:])
+	s.chunks[len(s.chunks)-1] = nil
+	s.chunks = s.chunks[:len(s.chunks)-1]
+}
+
+// split moves the upper half of a full chunk into a new chunk right
+// after it.
+func (s *freeSet) split(ci int) {
+	c := s.chunks[ci]
+	half := len(c) / 2
+	upper := append(s.newChunk(), c[half:]...)
+	clear(c[half:])
+	s.chunks[ci] = c[:half]
+	s.chunks = append(s.chunks, nil)
+	copy(s.chunks[ci+2:], s.chunks[ci+1:])
+	s.chunks[ci+1] = upper
+}
+
+// newChunk returns an empty chunk with room for freeChunkMax trackers,
+// recycled when one is spare, so a chunk never grows after it is made.
+func (s *freeSet) newChunk() []*TaskTracker {
+	if n := len(s.spare); n > 0 {
+		c := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return c
+	}
+	return make([]*TaskTracker, 0, freeChunkMax)
+}
+
+// appendTo appends the members in order to dst and returns the result.
+func (s *freeSet) appendTo(dst []*TaskTracker) []*TaskTracker {
+	for _, c := range s.chunks {
+		dst = append(dst, c...)
+	}
+	return dst
 }
 
 // syncFree reconciles a tracker's free-slot set memberships with its
@@ -77,17 +162,17 @@ func (jt *JobTracker) freeRemove(set []*TaskTracker, tr *TaskTracker) []*TaskTra
 func (jt *JobTracker) syncFree(tr *TaskTracker) {
 	if freeM := tr.mapRunning < jt.cfg.MapSlots; freeM != tr.inFreeMaps {
 		if freeM {
-			jt.freeMaps = jt.freeInsert(jt.freeMaps, tr)
+			jt.freeMaps.insert(tr)
 		} else {
-			jt.freeMaps = jt.freeRemove(jt.freeMaps, tr)
+			jt.freeMaps.remove(tr)
 		}
 		tr.inFreeMaps = freeM
 	}
 	if freeR := tr.redsRunning < jt.cfg.ReduceSlots; freeR != tr.inFreeReds {
 		if freeR {
-			jt.freeReds = jt.freeInsert(jt.freeReds, tr)
+			jt.freeReds.insert(tr)
 		} else {
-			jt.freeReds = jt.freeRemove(jt.freeReds, tr)
+			jt.freeReds.remove(tr)
 		}
 		tr.inFreeReds = freeR
 	}
@@ -153,20 +238,20 @@ func (jt *JobTracker) flushDirty() {
 // sort comparison.
 func (jt *JobTracker) refreshPressure(tr *TaskTracker) {
 	if tr.inFreeMaps {
-		jt.freeMaps = jt.freeRemove(jt.freeMaps, tr)
+		jt.freeMaps.remove(tr)
 	}
 	if tr.inFreeReds {
-		jt.freeReds = jt.freeRemove(jt.freeReds, tr)
+		jt.freeReds.remove(tr)
 	}
 	if jt.perf != nil {
 		jt.perf.C.JTPressureProbes++
 	}
 	tr.pressure = trackerPressure(tr)
 	if tr.inFreeMaps {
-		jt.freeMaps = jt.freeInsert(jt.freeMaps, tr)
+		jt.freeMaps.insert(tr)
 	}
 	if tr.inFreeReds {
-		jt.freeReds = jt.freeInsert(jt.freeReds, tr)
+		jt.freeReds.insert(tr)
 	}
 }
 

@@ -289,8 +289,8 @@ type JobTracker struct {
 	// prefix order the old sort.SliceStable produced. Their union is the
 	// old single free set; schedule() merge-iterates whichever sets have
 	// schedulable work so a map wave never walks map-full trackers.
-	freeMaps    []*TaskTracker
-	freeReds    []*TaskTracker
+	freeMaps    freeSet
+	freeReds    freeSet
 	scratchMaps []*TaskTracker
 	scratchReds []*TaskTracker
 	runningSnap []*Attempt
@@ -352,6 +352,8 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		dirtySet:   make(map[*cluster.PM]bool),
 		pmTrackers: make(map[*cluster.PM][]*TaskTracker),
 		watched:    make(map[*cluster.PM]bool),
+		freeMaps:   freeSet{byPressure: cfg.CapacityAware},
+		freeReds:   freeSet{byPressure: cfg.CapacityAware},
 
 		tracer:     sc.Trace,
 		auditLog:   sc.Audit,
@@ -510,11 +512,24 @@ func (jt *JobTracker) AddSplitTracker(compute, storage cluster.Node) *TaskTracke
 	return tr
 }
 
-// Trackers returns the registered workers.
+// Trackers returns a copy of the registered workers, in registration
+// order.
 func (jt *JobTracker) Trackers() []*TaskTracker {
 	out := make([]*TaskTracker, len(jt.trackers))
 	copy(out, jt.trackers)
 	return out
+}
+
+// TrackerCount returns the number of registered workers.
+func (jt *JobTracker) TrackerCount() int { return len(jt.trackers) }
+
+// EachTracker calls fn for every registered worker in registration
+// order. Unlike Trackers it copies nothing; fn must not register
+// trackers. Toggling a tracker with SetDisabled is allowed.
+func (jt *JobTracker) EachTracker(fn func(tr *TaskTracker)) {
+	for _, tr := range jt.trackers {
+		fn(tr)
+	}
 }
 
 // Jobs returns jobs that are not yet complete, in submission order.
@@ -656,11 +671,11 @@ func (jt *JobTracker) schedule() {
 		// during a map wave, which is where its O(n^2) hid.
 		var snapM, snapR []*TaskTracker
 		if jt.schedulableMaps > 0 {
-			snapM = append(jt.scratchMaps[:0], jt.freeMaps...)
+			snapM = jt.freeMaps.appendTo(jt.scratchMaps[:0])
 			jt.scratchMaps = snapM
 		}
 		if jt.schedulableReds > 0 {
-			snapR = append(jt.scratchReds[:0], jt.freeReds...)
+			snapR = jt.freeReds.appendTo(jt.scratchReds[:0])
 			jt.scratchReds = snapR
 		}
 		// Merge-iterate the two sets in the shared (pressure, idx) order;
@@ -679,7 +694,7 @@ func (jt *JobTracker) schedule() {
 					tr, tryMap, tryRed = snapM[mi], true, true
 					mi++
 					ri++
-				} else if jt.freeLess(snapM[mi], snapR[ri]) {
+				} else if jt.freeMaps.less(snapM[mi], snapR[ri]) {
 					tr, tryMap = snapM[mi], true
 					mi++
 				} else {
@@ -1053,23 +1068,6 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	jt.setTaskState(a.Task, TaskPending)
 	a.Task.pendingSince = jt.engine.Now()
 	return jt.launch(a.Task, dst, false)
-}
-
-// offHostFraction is the probability that a random DataNode lives on a
-// different physical machine than n — the share of replication traffic
-// that crosses the wire.
-func (jt *JobTracker) offHostFraction(n cluster.Node) float64 {
-	dns := jt.fs.DataNodes()
-	if len(dns) == 0 {
-		return 1
-	}
-	off := 0
-	for _, d := range dns {
-		if d.Node().Machine() != n.Machine() {
-			off++
-		}
-	}
-	return float64(off) / float64(len(dns))
 }
 
 // HandleMachineFailure declares lost every tracker whose compute or

@@ -42,7 +42,7 @@ func piLike() JobSpec {
 }
 
 // rig builds an engine, native cluster, DFS and JobTracker over n PMs.
-func rig(t *testing.T, nPMs int, cfg Config, sched Scheduler) (*sim.Engine, *JobTracker) {
+func rig(t testing.TB, nPMs int, cfg Config, sched Scheduler) (*sim.Engine, *JobTracker) {
 	t.Helper()
 	engine := sim.New(obs.Scope{})
 	c := cluster.New(engine, cluster.DefaultConfig(), 7)

@@ -218,7 +218,7 @@ func demandAndWork(t *Task, tr *TaskTracker) (demand resource.Vector, work float
 		// Remote shuffle fetches plus the off-host share of output
 		// replication; replicas landing on VMs of the same PM never
 		// touch the NIC.
-		net := rate*remoteFrac + rate*outRatio*t.Job.jt.offHostFraction(tr.Compute)
+		net := rate*remoteFrac + rate*outRatio*t.Job.jt.fs.OffHostFraction(tr.Compute)
 		mem := spec.ReduceMemMB
 		if mem <= 0 {
 			mem = 300

@@ -245,10 +245,10 @@ func runSize(size int, opts Options) (SizeResult, WallResult, error) {
 
 	trackers := 0
 	if hc.NativeJT != nil {
-		trackers += len(hc.NativeJT.Trackers())
+		trackers += hc.NativeJT.TrackerCount()
 	}
 	if hc.VirtualJT != nil {
-		trackers += len(hc.VirtualJT.Trackers())
+		trackers += hc.VirtualJT.TrackerCount()
 	}
 	sn := perf.Snapshot()
 	res := SizeResult{
