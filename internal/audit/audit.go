@@ -17,9 +17,11 @@
 package audit
 
 import (
-	"encoding/json"
+	"bufio"
 	"io"
 	"time"
+
+	"repro/internal/jsonenc"
 )
 
 // DefaultCap is the ring-buffer capacity used when New is given a
@@ -152,49 +154,69 @@ func (l *Log) Filter(pred func(Record) bool) []Record {
 	return out
 }
 
-// jsonCandidate and jsonRecord pin the JSONL field order; struct-field
-// order is what encoding/json emits, so exports are byte-stable.
-type jsonCandidate struct {
-	Name   string  `json:"name"`
-	Score  float64 `json:"score"`
-	Chosen bool    `json:"chosen,omitempty"`
-	Note   string  `json:"note,omitempty"`
-}
-
-type jsonRecord struct {
-	Seq        uint64          `json:"seq"`
-	TsUs       int64           `json:"ts_us"`
-	Subsystem  string          `json:"subsystem"`
-	Action     string          `json:"action"`
-	Subject    string          `json:"subject"`
-	Decision   string          `json:"decision"`
-	Reason     string          `json:"reason,omitempty"`
-	Candidates []jsonCandidate `json:"candidates,omitempty"`
+// appendRecord appends r as one JSONL line. The field order is fixed
+// (seq, ts_us, subsystem, action, subject, decision, reason,
+// candidates) and empty reason, candidates, chosen and note fields are
+// omitted, so exports are byte-stable.
+func appendRecord(dst []byte, r *Record) ([]byte, error) {
+	dst = jsonenc.Uint(append(dst, `{"seq":`...), r.Seq)
+	dst = jsonenc.Int(append(dst, `,"ts_us":`...), r.At.Microseconds())
+	dst = jsonenc.String(append(dst, `,"subsystem":`...), r.Subsystem)
+	dst = jsonenc.String(append(dst, `,"action":`...), r.Action)
+	dst = jsonenc.String(append(dst, `,"subject":`...), r.Subject)
+	dst = jsonenc.String(append(dst, `,"decision":`...), r.Decision)
+	if r.Reason != "" {
+		dst = jsonenc.String(append(dst, `,"reason":`...), r.Reason)
+	}
+	for i := range r.Candidates {
+		c := &r.Candidates[i]
+		if i == 0 {
+			dst = append(dst, `,"candidates":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.String(append(dst, `{"name":`...), c.Name)
+		var err error
+		if dst, err = jsonenc.Float(append(dst, `,"score":`...), c.Score); err != nil {
+			return dst, err
+		}
+		if c.Chosen {
+			dst = append(dst, `,"chosen":true`...)
+		}
+		if c.Note != "" {
+			dst = jsonenc.String(append(dst, `,"note":`...), c.Note)
+		}
+		dst = append(dst, '}')
+	}
+	if len(r.Candidates) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // WriteJSONL writes the retained records as one JSON object per line,
 // oldest first. Timestamps are integer microseconds of simulated time
 // (ts_us), matching the trace JSONL convention.
 func (l *Log) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range l.Records() {
-		jr := jsonRecord{
-			Seq:       r.Seq,
-			TsUs:      r.At.Microseconds(),
-			Subsystem: r.Subsystem,
-			Action:    r.Action,
-			Subject:   r.Subject,
-			Decision:  r.Decision,
-			Reason:    r.Reason,
+	if l == nil || len(l.buf) == 0 {
+		return nil
+	}
+	// Walk the ring in place, oldest first: once it has wrapped, the
+	// oldest record sits where the next one will be written.
+	start := 0
+	if l.seq > uint64(l.cap) {
+		start = int(l.seq % uint64(l.cap))
+	}
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for i := range l.buf {
+		var err error
+		if line, err = appendRecord(line[:0], &l.buf[(start+i)%len(l.buf)]); err != nil {
+			return err
 		}
-		for _, c := range r.Candidates {
-			jr.Candidates = append(jr.Candidates, jsonCandidate{
-				Name: c.Name, Score: c.Score, Chosen: c.Chosen, Note: c.Note,
-			})
-		}
-		if err := enc.Encode(jr); err != nil {
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }

@@ -58,7 +58,7 @@ type DRM struct {
 	ticker *sim.Ticker
 	// estimators fit per-job/kind speed-versus-allocation models; the
 	// Performance Balancer ranks cap grants by their predicted benefit.
-	estimators map[string]*interference.Predictor
+	estimators map[estimatorKey]*interference.Predictor
 	// deferred tracks attempts swapped out by the memory balancer.
 	deferred map[*cluster.Consumer]bool
 	// Policy holds the Performance Balancer's knobs: the paper's
@@ -77,6 +77,12 @@ type DRM struct {
 	mDeferrals   *trace.Counter
 }
 
+// estimatorKey names one LRM Estimator: a job name and a task kind.
+type estimatorKey struct {
+	job  string
+	kind mapred.TaskKind
+}
+
 // NewDRM attaches a Dynamic Resource Manager to a (virtual-cluster)
 // JobTracker. Call Start to begin the epoch loop.
 func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoch time.Duration) *DRM {
@@ -89,7 +95,7 @@ func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoc
 		modes:        modes,
 		epoch:        epoch,
 		engine:       engine,
-		estimators:   make(map[string]*interference.Predictor),
+		estimators:   make(map[estimatorKey]*interference.Predictor),
 		deferred:     make(map[*cluster.Consumer]bool),
 		Policy:       policy.PaperDRM{}.Params(),
 		tracer:       sc.Trace,
@@ -168,7 +174,7 @@ func (d *DRM) observe(attempts []*mapred.Attempt) {
 	for _, a := range attempts {
 		c := a.Consumer()
 		frac := allocFraction(c)
-		key := fmt.Sprintf("%s/%s", a.Task.Job.Spec.Name, a.Task.Kind)
+		key := estimatorKey{a.Task.Job.Spec.Name, a.Task.Kind}
 		p, ok := d.estimators[key]
 		if !ok {
 			p = interference.NewPredictor(interference.LinearFamily)
@@ -181,7 +187,7 @@ func (d *DRM) observe(attempts []*mapred.Attempt) {
 // EstimatedSpeedAt predicts a job/kind's task speed at a given bottleneck
 // allocation fraction, once the Estimator has data.
 func (d *DRM) EstimatedSpeedAt(job string, kind mapred.TaskKind, frac float64) (float64, bool) {
-	p, ok := d.estimators[fmt.Sprintf("%s/%s", job, kind)]
+	p, ok := d.estimators[estimatorKey{job, kind}]
 	if !ok {
 		return 0, false
 	}

@@ -99,6 +99,13 @@ type FileSystem struct {
 	clusters  []*cluster.Cluster
 	topo      topoCache
 
+	// Scratch for pickNewReplica, reused so a repair allocates nothing
+	// in steady state. The two candidate lists keep separate backing
+	// arrays.
+	repairRacks   []string
+	repairCands   []*DataNode
+	repairOffRack []*DataNode
+
 	// Observers, read from the engine's scope at New. The metric
 	// handles are nil (a no-op) when the scope carries no registry.
 	tracer             *trace.Tracer
@@ -691,29 +698,23 @@ func (fs *FileSystem) pickNewReplica(b *Block) *DataNode {
 		// block.
 		fs.perf.C.DFSRepairScans += int64(len(fs.datanodes))
 	}
-	holders := make(map[*DataNode]struct{}, len(b.Replicas))
-	holderRacks := make(map[string]struct{}, len(b.Replicas))
+	racks := fs.repairRacks[:0]
 	for _, r := range b.Replicas {
-		holders[r] = struct{}{}
-		holderRacks[nodeRack(r)] = struct{}{}
+		racks = append(racks, nodeRack(r))
 	}
 	rackAware := fs.spansRacks()
 	// Deterministic seeded choice among candidates.
-	var candidates, offRack []*DataNode
+	candidates, offRack := fs.repairCands[:0], fs.repairOffRack[:0]
 	for _, d := range fs.datanodes {
-		if _, dup := holders[d]; dup {
-			continue
-		}
-		if nodeIsolated(d) {
+		if slices.Contains(b.Replicas, d) || nodeIsolated(d) {
 			continue
 		}
 		candidates = append(candidates, d)
-		if rackAware {
-			if _, dup := holderRacks[nodeRack(d)]; !dup {
-				offRack = append(offRack, d)
-			}
+		if rackAware && !slices.Contains(racks, nodeRack(d)) {
+			offRack = append(offRack, d)
 		}
 	}
+	fs.repairRacks, fs.repairCands, fs.repairOffRack = racks, candidates, offRack
 	if len(offRack) > 0 {
 		candidates = offRack
 	}

@@ -879,12 +879,14 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 // assignCandidates lists, for the audit log, the trackers that had a
 // free slot of the kind when one of them was chosen, scored by machine
 // pressure. The list is capped (the chosen tracker is always kept) so
-// records stay readable on large clusters.
+// records stay readable on large clusters. Only kept candidates are
+// scored: once the list is full, every tracker but the chosen one is
+// skipped before its pressure is computed.
 func (jt *JobTracker) assignCandidates(kind TaskKind, chosen *TaskTracker) []audit.Candidate {
 	const maxCandidates = 8
-	var out []audit.Candidate
+	out := make([]audit.Candidate, 0, maxCandidates)
 	for _, tr := range jt.trackers {
-		if tr != chosen && (tr.disabled || tr.lost || tr.FreeSlots(kind) <= 0) {
+		if tr != chosen && (len(out) == maxCandidates || tr.disabled || tr.lost || tr.FreeSlots(kind) <= 0) {
 			continue
 		}
 		c := audit.Candidate{
@@ -894,9 +896,6 @@ func (jt *JobTracker) assignCandidates(kind TaskKind, chosen *TaskTracker) []aud
 			Note:   "machine pressure",
 		}
 		if len(out) == maxCandidates {
-			if tr != chosen {
-				continue
-			}
 			out[len(out)-1] = c // chosen beyond the cap replaces the tail
 			continue
 		}

@@ -65,6 +65,10 @@ type Task struct {
 	outputTracker *TaskTracker
 	outputPM      *cluster.PM
 	outputMB      float64
+
+	// id caches ID(). Job.ID, Job.Spec.Name, Kind and Index are all set
+	// before Submit returns and never change afterwards.
+	id string
 }
 
 // State returns the task's scheduling state.
@@ -97,7 +101,10 @@ func (t *Task) OutputTracker() *TaskTracker { return t.outputTracker }
 
 // ID identifies the task within its job.
 func (t *Task) ID() string {
-	return fmt.Sprintf("%s-%d/%s-%d", t.Job.Spec.Name, t.Job.ID, t.Kind, t.Index)
+	if t.id == "" {
+		t.id = fmt.Sprintf("%s-%d/%s-%d", t.Job.Spec.Name, t.Job.ID, t.Kind, t.Index)
+	}
+	return t.id
 }
 
 // Attempt is one execution of a task on a specific tracker.

@@ -29,12 +29,12 @@ package timeseries
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
+	"repro/internal/jsonenc"
 	"repro/internal/trace"
 )
 
@@ -474,31 +474,50 @@ func (c *Collector) windowHist(name, label string, wi int) *trace.Histogram {
 	return trace.MergeHistograms(hs)
 }
 
-// tsRow is the JSONL schema for one series-window.
-type tsRow struct {
-	Series string  `json:"series"`
-	Label  string  `json:"label,omitempty"`
-	Kind   Kind    `json:"kind"`
-	Window int     `json:"window"`
-	StartS float64 `json:"start_s"`
-	EndS   float64 `json:"end_s"`
-
-	Delta *float64 `json:"delta,omitempty"`
-	Rate  *float64 `json:"rate_per_s,omitempty"`
-
-	Last    *float64 `json:"last,omitempty"`
-	Mean    *float64 `json:"mean,omitempty"`
-	Samples uint64   `json:"samples,omitempty"`
-
-	Count uint64   `json:"count,omitempty"`
-	Min   *float64 `json:"min,omitempty"`
-	Max   *float64 `json:"max,omitempty"`
-	P50   *float64 `json:"p50,omitempty"`
-	P95   *float64 `json:"p95,omitempty"`
-	P99   *float64 `json:"p99,omitempty"`
+// appendRow appends one series-window as a JSONL line: series, label
+// (omitted when empty), kind, window, start_s and end_s, then the kind's
+// fields — delta and rate_per_s for counters; last, mean and samples
+// for gauges; mean, count, min, max, p50, p95 and p99 for histograms.
+// Zero samples and count are omitted.
+func appendRow(dst []byte, snap *SeriesSnapshot, p *Point) ([]byte, error) {
+	dst = jsonenc.String(append(dst, `{"series":`...), snap.Name)
+	if snap.Label != "" {
+		dst = jsonenc.String(append(dst, `,"label":`...), snap.Label)
+	}
+	dst = jsonenc.String(append(dst, `,"kind":`...), string(snap.Kind))
+	dst = jsonenc.Int(append(dst, `,"window":`...), int64(p.Window))
+	var err error
+	float := func(key string, v float64) {
+		if err == nil {
+			dst, err = jsonenc.Float(append(dst, key...), v)
+		}
+	}
+	count := func(key string, v uint64) {
+		if v != 0 {
+			dst = jsonenc.Uint(append(dst, key...), v)
+		}
+	}
+	float(`,"start_s":`, p.Start.Seconds())
+	float(`,"end_s":`, p.End.Seconds())
+	switch snap.Kind {
+	case KindCounter:
+		float(`,"delta":`, p.Delta)
+		float(`,"rate_per_s":`, p.Rate)
+	case KindGauge:
+		float(`,"last":`, p.Last)
+		float(`,"mean":`, p.Mean)
+		count(`,"samples":`, p.Samples)
+	case KindHist:
+		float(`,"mean":`, p.Hist.Mean)
+		count(`,"count":`, p.Hist.Count)
+		float(`,"min":`, p.Hist.Min)
+		float(`,"max":`, p.Hist.Max)
+		float(`,"p50":`, p.Hist.P50)
+		float(`,"p95":`, p.Hist.P95)
+		float(`,"p99":`, p.Hist.P99)
+	}
+	return append(dst, '}', '\n'), err
 }
-
-func fptr(v float64) *float64 { return &v }
 
 // WriteJSONL exports every series-window as one JSON object per line,
 // ordered by series name, label, then window — byte-deterministic for a
@@ -508,35 +527,14 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for _, snap := range c.Snapshot() {
-		for _, p := range snap.Points {
-			row := tsRow{
-				Series: snap.Name,
-				Label:  snap.Label,
-				Kind:   snap.Kind,
-				Window: p.Window,
-				StartS: p.Start.Seconds(),
-				EndS:   p.End.Seconds(),
+		for i := range snap.Points {
+			var err error
+			if line, err = appendRow(line[:0], &snap, &snap.Points[i]); err != nil {
+				return err
 			}
-			switch snap.Kind {
-			case KindCounter:
-				row.Delta = fptr(p.Delta)
-				row.Rate = fptr(p.Rate)
-			case KindGauge:
-				row.Last = fptr(p.Last)
-				row.Mean = fptr(p.Mean)
-				row.Samples = p.Samples
-			case KindHist:
-				row.Count = p.Hist.Count
-				row.Mean = fptr(p.Hist.Mean)
-				row.Min = fptr(p.Hist.Min)
-				row.Max = fptr(p.Hist.Max)
-				row.P50 = fptr(p.Hist.P50)
-				row.P95 = fptr(p.Hist.P95)
-				row.P99 = fptr(p.Hist.P99)
-			}
-			if err := enc.Encode(row); err != nil {
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}

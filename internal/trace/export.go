@@ -2,39 +2,69 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
+
+	"repro/internal/jsonenc"
 )
 
-// argsMap converts an Arg list to a map for JSON encoding. encoding/json
-// marshals map keys in sorted order, which keeps the output
-// deterministic.
-func argsMap(args []Arg) map[string]any {
-	if len(args) == 0 {
-		return nil
-	}
-	m := make(map[string]any, len(args))
-	for _, a := range args {
-		if a.isNum {
-			m[a.Key] = a.num
-		} else {
-			m[a.Key] = a.str
+// appendArgs appends args as a JSON object with byte-sorted keys; a
+// repeated key keeps its last value. That is how encoding/json writes
+// the map[string]any the exporters' schema defines, so exports stay
+// byte-stable. The sort runs on a scratch copy so recorded args are
+// never reordered.
+func (t *Tracer) appendArgs(dst []byte, args []Arg) ([]byte, error) {
+	s := append(t.scratch[:0], args...)
+	t.scratch = s
+	slices.SortStableFunc(s, func(a, b Arg) int { return strings.Compare(a.Key, b.Key) })
+	dst = append(dst, '{')
+	for i := range s {
+		if i+1 < len(s) && s[i+1].Key == s[i].Key {
+			continue // a later value for the same key wins
+		}
+		if dst[len(dst)-1] != '{' {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.String(dst, s[i].Key)
+		dst = append(dst, ':')
+		if !s[i].isNum {
+			dst = jsonenc.String(dst, s[i].str)
+			continue
+		}
+		var err error
+		if dst, err = jsonenc.Float(dst, s[i].num); err != nil {
+			return dst, err
 		}
 	}
-	return m
+	return append(dst, '}'), nil
 }
 
-// jsonlEvent is the JSONL export schema: one event per line, timestamps
-// in simulated microseconds.
-type jsonlEvent struct {
-	Type  string         `json:"type"` // "span" or "instant"
-	TsUs  int64          `json:"ts_us"`
-	DurUs int64          `json:"dur_us,omitempty"`
-	Track string         `json:"track"`
-	Cat   string         `json:"cat"`
-	Name  string         `json:"name"`
-	Args  map[string]any `json:"args,omitempty"`
+// appendJSONL appends one event as a JSONL line: type, ts_us, dur_us
+// (omitted when zero), track, cat, name and args (omitted when empty),
+// with timestamps in simulated microseconds.
+func (t *Tracer) appendJSONL(dst []byte, ev *event) ([]byte, error) {
+	if ev.phase == 'i' {
+		dst = append(dst, `{"type":"instant","ts_us":`...)
+	} else {
+		dst = append(dst, `{"type":"span","ts_us":`...)
+	}
+	dst = jsonenc.Int(dst, ev.start.Microseconds())
+	if dur := ev.dur.Microseconds(); dur != 0 {
+		dst = append(dst, `,"dur_us":`...)
+		dst = jsonenc.Int(dst, dur)
+	}
+	dst = jsonenc.String(append(dst, `,"track":`...), ev.track)
+	dst = jsonenc.String(append(dst, `,"cat":`...), ev.cat)
+	dst = jsonenc.String(append(dst, `,"name":`...), ev.name)
+	if len(ev.args) > 0 {
+		var err error
+		if dst, err = t.appendArgs(append(dst, `,"args":`...), ev.args); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // WriteJSONL writes every recorded event (plus still-open spans, closed
@@ -44,126 +74,105 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range t.snapshot() {
-		typ := "span"
-		if ev.phase == 'i' {
-			typ = "instant"
-		}
-		if err := enc.Encode(jsonlEvent{
-			Type:  typ,
-			TsUs:  ev.start.Microseconds(),
-			DurUs: ev.dur.Microseconds(),
-			Track: ev.track,
-			Cat:   ev.cat,
-			Name:  ev.name,
-			Args:  argsMap(ev.args),
-		}); err != nil {
+	var line []byte
+	err := t.eachEvent(func(ev *event) error {
+		var err error
+		if line, err = t.appendJSONL(line[:0], ev); err != nil {
 			return err
 		}
+		_, err = bw.Write(line)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// chromeEvent is one entry of the Chrome trace_event format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-// Perfetto and chrome://tracing load the resulting file directly; each
-// track (PM, VM, TaskTracker, job) renders as its own named thread row.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    int64          `json:"ts"`
-	Dur   *int64         `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+// appendChrome appends one event of the Chrome trace_event format
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
+// name, cat (omitted when empty), ph, ts, dur (spans only), pid, tid, s
+// (instants only, thread scope) and args (omitted when empty).
+func (t *Tracer) appendChrome(dst []byte, ev *event, tid int) ([]byte, error) {
+	dst = jsonenc.String(append(dst, `{"name":`...), ev.name)
+	if ev.cat != "" {
+		dst = jsonenc.String(append(dst, `,"cat":`...), ev.cat)
+	}
+	if ev.phase == 'X' {
+		dst = append(dst, `,"ph":"X","ts":`...)
+		dst = jsonenc.Int(dst, ev.start.Microseconds())
+		dst = jsonenc.Int(append(dst, `,"dur":`...), ev.dur.Microseconds())
+		dst = jsonenc.Int(append(dst, `,"pid":1,"tid":`...), int64(tid))
+	} else {
+		dst = append(dst, `,"ph":"i","ts":`...)
+		dst = jsonenc.Int(dst, ev.start.Microseconds())
+		dst = jsonenc.Int(append(dst, `,"pid":1,"tid":`...), int64(tid))
+		dst = append(dst, `,"s":"t"`...)
+	}
+	if len(ev.args) > 0 {
+		var err error
+		if dst, err = t.appendArgs(append(dst, `,"args":`...), ev.args); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
 }
 
 // WriteChromeTrace writes the events in Chrome trace_event JSON format.
-// Tracks are assigned thread IDs in order of first appearance and named
-// via thread_name metadata, so the viewer shows one labelled row per
-// track. Simulated time maps to the trace's microsecond timebase.
+// Perfetto and chrome://tracing load the file directly. Tracks are
+// assigned thread IDs in order of first appearance and named via
+// thread_name metadata, so the viewer shows one labelled row per track
+// (PM, VM, TaskTracker, job). Simulated time maps to the trace's
+// microsecond timebase.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`+"\n")
 		return err
 	}
-	events := t.snapshot()
 
 	// Track registry in first-appearance order.
 	tids := make(map[string]int)
 	var tracks []string
-	tidOf := func(track string) int {
-		id, ok := tids[track]
-		if !ok {
-			id = len(tracks) + 1
-			tids[track] = id
-			tracks = append(tracks, track)
+	_ = t.eachEvent(func(ev *event) error {
+		if _, ok := tids[ev.track]; !ok {
+			tracks = append(tracks, ev.track)
+			tids[ev.track] = len(tracks)
 		}
-		return id
-	}
-	for _, ev := range events {
-		tidOf(ev.track)
-	}
+		return nil
+	})
 
 	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, `{"traceEvents":[`); err != nil {
+	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
 		return err
 	}
-	first := true
-	emit := func(ce chromeEvent) error {
-		raw, err := json.Marshal(ce)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(raw)
-		return err
-	}
-
+	// Entries are separated by ",\n". The first track's metadata opens
+	// the list, and any event comes after at least that.
+	var b []byte
 	for i, track := range tracks {
-		if err := emit(chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: i + 1,
-			Args: map[string]any{"name": track},
-		}); err != nil {
-			return err
+		b = b[:0]
+		if i > 0 {
+			b = append(b, ",\n"...)
 		}
-		if err := emit(chromeEvent{
-			Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: i + 1,
-			Args: map[string]any{"sort_index": i},
-		}); err != nil {
-			return err
-		}
-	}
-	for _, ev := range events {
-		ce := chromeEvent{
-			Name: ev.name,
-			Cat:  ev.cat,
-			Ts:   ev.start.Microseconds(),
-			Pid:  1,
-			Tid:  tids[ev.track],
-			Args: argsMap(ev.args),
-		}
-		if ev.phase == 'X' {
-			ce.Ph = "X"
-			dur := ev.dur.Microseconds()
-			ce.Dur = &dur
-		} else {
-			ce.Ph = "i"
-			ce.Scope = "t"
-		}
-		if err := emit(ce); err != nil {
+		b = jsonenc.Int(append(b, `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":`...), int64(i+1))
+		b = jsonenc.String(append(b, `,"args":{"name":`...), track)
+		b = jsonenc.Int(append(b, `}},`+"\n"+`{"name":"thread_sort_index","ph":"M","ts":0,"pid":1,"tid":`...), int64(i+1))
+		b = jsonenc.Int(append(b, `,"args":{"sort_index":`...), int64(i))
+		if _, err := bw.Write(append(b, "}}"...)); err != nil {
 			return err
 		}
 	}
-	if _, err := io.WriteString(bw, "],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
+	err := t.eachEvent(func(ev *event) error {
+		var err error
+		if b, err = t.appendChrome(append(b[:0], ",\n"...), ev, tids[ev.track]); err != nil {
+			return err
+		}
+		_, err = bw.Write(b)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if _, err := bw.WriteString("],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()

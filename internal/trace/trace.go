@@ -76,6 +76,31 @@ type Tracer struct {
 	events []event
 	open   []openSpan
 	free   []int
+	// slab is the arena chunk recorded events' args are copied into.
+	// A full slab is left in place (earlier events keep pointing into
+	// it) and a fresh one started, so recorded args never move.
+	slab []Arg
+	// scratch holds one event's args while an exporter sorts them.
+	scratch []Arg
+}
+
+// slabArgs is the capacity of one arena chunk.
+const slabArgs = 4096
+
+// record copies a and b, back to back, into the arena and returns the
+// copy; nil when both are empty. The copy's capacity equals its length,
+// so appending to it never writes into a neighbour's args.
+func (t *Tracer) record(a, b []Arg) []Arg {
+	n := len(a) + len(b)
+	if n == 0 {
+		return nil
+	}
+	if cap(t.slab)-len(t.slab) < n {
+		t.slab = make([]Arg, 0, max(slabArgs, n))
+	}
+	l := len(t.slab)
+	t.slab = append(append(t.slab, a...), b...)
+	return t.slab[l : l+n : l+n]
 }
 
 // New returns an empty tracer. The clock may be nil initially (events
@@ -122,7 +147,8 @@ func (t *Tracer) OpenSpans() int {
 	return n
 }
 
-// Instant records a zero-duration event on a track.
+// Instant records a zero-duration event on a track. The args are
+// copied, so the caller may reuse its slice.
 func (t *Tracer) Instant(track, category, name string, args ...Arg) {
 	if t == nil {
 		return
@@ -133,7 +159,7 @@ func (t *Tracer) Instant(track, category, name string, args ...Arg) {
 		track: track,
 		cat:   category,
 		name:  name,
-		args:  args,
+		args:  t.record(args, nil),
 	})
 }
 
@@ -148,6 +174,7 @@ type Span struct {
 
 // Begin opens a span on a track. End it with Span.End; spans still open
 // when an exporter runs are emitted as running to the export instant.
+// The args are copied, so the caller may reuse its slice.
 func (t *Tracer) Begin(track, category, name string, args ...Arg) Span {
 	if t == nil {
 		return Span{}
@@ -167,9 +194,10 @@ func (t *Tracer) Begin(track, category, name string, args ...Arg) Span {
 		track: track,
 		cat:   category,
 		name:  name,
-		args:  args,
-		gen:   gen,
-		live:  true,
+		// The slot's buffer is reused, so the caller's args never escape.
+		args: append(slot.args[:0], args...),
+		gen:  gen,
+		live: true,
 	}
 	return Span{t: t, idx: idx, gen: gen}
 }
@@ -185,10 +213,6 @@ func (s Span) End(args ...Arg) {
 	if !slot.live || slot.gen != s.gen {
 		return
 	}
-	all := slot.args
-	if len(args) > 0 {
-		all = append(append([]Arg{}, slot.args...), args...)
-	}
 	now := s.t.now()
 	s.t.events = append(s.t.events, event{
 		phase: 'X',
@@ -197,10 +221,9 @@ func (s Span) End(args ...Arg) {
 		track: slot.track,
 		cat:   slot.cat,
 		name:  slot.name,
-		args:  all,
+		args:  s.t.record(slot.args, args),
 	})
 	slot.live = false
-	slot.args = nil
 	s.t.free = append(s.t.free, s.idx)
 }
 
@@ -214,26 +237,45 @@ func (s Span) Active() bool {
 	return slot.live && slot.gen == s.gen
 }
 
-// snapshot returns completed events plus every still-open span rendered
-// as a span ending at the export instant, in deterministic order.
-func (t *Tracer) snapshot() []event {
-	out := make([]event, 0, len(t.events)+len(t.open))
-	out = append(out, t.events...)
+// eachEvent calls fn on every completed event in emission order, then
+// on every still-open span rendered as a span ending at the export
+// instant with a trailing state=running arg. Completed events are
+// visited in place, not copied; fn must not retain ev itself.
+func (t *Tracer) eachEvent(fn func(ev *event) error) error {
+	for i := range t.events {
+		if err := fn(&t.events[i]); err != nil {
+			return err
+		}
+	}
 	now := t.now()
 	for i := range t.open {
 		slot := &t.open[i]
 		if !slot.live {
 			continue
 		}
-		out = append(out, event{
+		ev := event{
 			phase: 'X',
 			start: slot.start,
 			dur:   now - slot.start,
 			track: slot.track,
 			cat:   slot.cat,
 			name:  slot.name,
-			args:  append(append([]Arg{}, slot.args...), S("state", "running")),
-		})
+			args:  append(append(make([]Arg, 0, len(slot.args)+1), slot.args...), S("state", "running")),
+		}
+		if err := fn(&ev); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// snapshot returns completed events plus every still-open span rendered
+// as by eachEvent, in deterministic order.
+func (t *Tracer) snapshot() []event {
+	out := make([]event, 0, len(t.events)+len(t.open))
+	_ = t.eachEvent(func(ev *event) error {
+		out = append(out, *ev)
+		return nil
+	})
 	return out
 }
