@@ -35,33 +35,34 @@
 // fidelity report carries no timestamps, so it is byte-identical at any
 // -parallel value.
 //
-// -baseline compares each experiment's measured events/sec against a
-// committed baseline file and fails if throughput drops below a third
-// of the recorded value — a coarse tripwire for order-of-magnitude
-// regressions that tolerates machine-to-machine variance. The baseline
-// also records deterministic scans-per-decision cost ratios derived
-// from the perfstat counters (tracker×kind pairs per schedule call,
-// profile entries per estimate, ...); those are guarded tightly, so a
-// change that silently inflates a controller's per-decision work fails
-// even when wall-clock throughput looks fine. -write-baseline
-// regenerates the file from the current run.
+// -baseline checks the run against the committed ledger
+// (bench-baseline.json): one entry per measured point — a figure id, a
+// scale-sweep size "pm<n>", or "policy-search" — holding its events/sec,
+// optional scans-per-decision cost ratios and, for points that depend on
+// -scale, the scale it was recorded at. Every mode fails if a point's
+// throughput drops below a third of its recorded value — a coarse
+// tripwire for order-of-magnitude regressions that tolerates
+// machine-to-machine variance. Cost ratios (tracker×kind pairs per
+// schedule call, profile entries per estimate, ...) are deterministic, so
+// they are guarded tightly: a change that silently inflates a controller's
+// per-decision work fails even when wall-clock throughput looks fine.
+// Points absent from the ledger are skipped; a point recorded at another
+// -scale is an error. -write-baseline replaces the entries of the points
+// this run measured and leaves every other entry as it was.
 //
-// -scale-sweep switches to the controller-complexity study: the same
-// weak-scaling scenario at geometrically spaced cluster sizes
-// (-sweep-sizes, default 24,96,384), per-counter growth exponents
+// -scale-sweep switches to the weak-scaling study: the same scenario at
+// each cluster size in -sweep-sizes (default 24,96,384; the datacenter
+// points are -sweep-sizes 2500,10000), per-counter growth exponents
 // fitted by log-log regression, and a PERF.json report (-perf-out)
 // naming each controller's empirical O(n^k). The report section of
 // PERF.json is byte-deterministic at any -parallel value; wall times
-// live in a separate section excluded from determinism comparisons.
+// live in a separate section excluded from determinism comparisons. The
+// sweep fails if an indexed controller (jt, drm, p1) grows faster than
+// the O(n^1.2) acceptance ceiling.
 //
-// -scale-up runs the same scenario at synthetic datacenter-scale
-// operating points (-scale-up-sizes, default 2500,10000 PMs) and writes
-// a SCALEUP.json report (-scale-up-out) with the same layout. It fails
-// if any indexed controller (jt, drm, p1) grows faster than the
-// O(n^1.2) acceptance ceiling across the points, and when -baseline is
-// given it also guards each point's events/sec against the file's
-// scale_up floors (-write-baseline records them, preserving the
-// figure-experiment sections).
+// -scale-sweep, -policy-search, -chaos-search and -chaos-replay are
+// separate modes: at most one may be given, and none combines with the
+// figure-experiment flags -check, -json, -only or -ext.
 //
 // -cpuprofile, -memprofile and -profile-dir wire the Go runtime
 // profilers around whichever mode runs, for use with go tool pprof.
@@ -74,6 +75,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -118,61 +120,123 @@ func writeBenchJSON(rec benchRecord) error {
 	return os.WriteFile("BENCH_"+rec.Name+".json", append(data, '\n'), 0o644)
 }
 
-// baselineFile is the committed throughput floor: events/sec per
-// experiment, recorded at a known scale. The guard trips only below
-// baseline/baselineTolerance, so routine machine variance passes.
-type baselineFile struct {
-	Scale        float64            `json:"scale"`
-	EventsPerSec map[string]float64 `json:"events_per_sec"`
-	// CostRatios records per-experiment scans-per-decision ratios from
-	// the perfstat cost counters (e.g. tracker×kind pairs scanned per
-	// schedule call). Unlike events/sec these are deterministic, so the
-	// guard is tight: a change that silently inflates a ratio beyond
-	// costRatioTolerance × baseline fails the comparison. Lower is
-	// always fine — that is an algorithmic improvement.
-	CostRatios map[string]map[string]float64 `json:"cost_ratios,omitempty"`
-	// ScaleUp records events/sec per datacenter-scale operating point
-	// ("pm2500", "pm10000") from the -scale-up suite, guarded with the
-	// same baselineTolerance floor as the figure experiments. Written by
-	// -scale-up -write-baseline.
-	ScaleUp map[string]float64 `json:"scale_up,omitempty"`
-	// PolicySearch records the policy-search sweep's events/sec, guarded
-	// with the same baselineTolerance floor. Written by -policy-search
-	// -write-baseline. Each write mode rewrites only its own sections
-	// (see updateBaseline).
-	PolicySearch float64 `json:"policy_search,omitempty"`
+// baselineEntry is one point's record in the committed ledger. The
+// throughput guard trips only below EventsPerSec/baselineTolerance, so
+// routine machine variance passes.
+type baselineEntry struct {
+	EventsPerSec float64 `json:"events_per_sec"`
+	// CostRatios records scans-per-decision ratios from the perfstat cost
+	// counters (e.g. tracker×kind pairs scanned per schedule call). Unlike
+	// events/sec these are deterministic, so the guard is tight: a change
+	// that silently inflates a ratio beyond costRatioTolerance × baseline
+	// fails the comparison. Lower is always fine — that is an algorithmic
+	// improvement.
+	CostRatios map[string]float64 `json:"cost_ratios,omitempty"`
+	// Scale is the -scale the point was recorded at, set only for points
+	// whose workload depends on it (the figure experiments).
+	Scale float64 `json:"scale,omitempty"`
 }
+
+// baselineLedger maps each point name to its record.
+type baselineLedger map[string]baselineEntry
 
 const baselineTolerance = 3.0
 
-// readBaseline loads the baseline file at path.
-func readBaseline(path string) (baselineFile, error) {
-	var base baselineFile
+// readBaseline loads the ledger at path.
+func readBaseline(path string) (baselineLedger, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return base, fmt.Errorf("read baseline: %w", err)
+		return nil, fmt.Errorf("read baseline: %w", err)
 	}
+	var base baselineLedger
 	if err := json.Unmarshal(data, &base); err != nil {
-		return base, fmt.Errorf("parse baseline %s: %w", path, err)
+		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
 	}
 	return base, nil
 }
 
-// updateBaseline rewrites the baseline file at path after edit has set
-// the calling mode's own sections; every other section is carried over
-// unchanged. A missing file starts empty.
-func updateBaseline(path string, edit func(*baselineFile)) error {
+// writeBaseline records the measured points (with their cost ratios and
+// scale) in the ledger at path, replacing only those points' entries; a
+// missing file starts empty.
+func writeBaseline(path string, scale float64, measured map[string]float64, ratios map[string]map[string]float64) error {
 	base, err := readBaseline(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	edit(&base)
+	if base == nil {
+		base = make(baselineLedger, len(measured))
+	}
+	for point, eps := range measured {
+		base[point] = baselineEntry{EventsPerSec: eps, CostRatios: ratios[point], Scale: scale}
+	}
 	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write baseline: %w", err)
+	}
+	return nil
+}
+
+// handleBaseline either records the measured points in the ledger
+// (write) or checks them against it: a point fails if it ran more than
+// baselineTolerance times slower than recorded, or if one of its cost
+// ratios grew past costRatioTolerance times the recorded ratio. Points
+// and ratios absent from the ledger are skipped; a point recorded at a
+// different scale is an error. scale is 0 for points that do not depend
+// on -scale.
+func handleBaseline(path string, write bool, scale float64, measured map[string]float64, ratios map[string]map[string]float64, stdout io.Writer) error {
+	if write {
+		if err := writeBaseline(path, scale, measured, ratios); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote baseline for %d point(s) to %s\n", len(measured), path)
+		return nil
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		return err
+	}
+	points := make([]string, 0, len(measured))
+	for point := range measured {
+		points = append(points, point)
+	}
+	sort.Strings(points)
+	var fails []string
+	for _, point := range points {
+		want, ok := base[point]
+		if !ok {
+			continue
+		}
+		if want.Scale != scale {
+			return fmt.Errorf("baseline %s recorded %s at scale %g, run at %g", path, point, want.Scale, scale)
+		}
+		if want.EventsPerSec > 0 {
+			got := measured[point]
+			floor := want.EventsPerSec / baselineTolerance
+			if got < floor {
+				fails = append(fails, fmt.Sprintf("%s: throughput regression: %.0f events/sec, floor %.0f (baseline %.0f)",
+					point, got, floor, want.EventsPerSec))
+			} else {
+				fmt.Fprintf(stdout, "throughput %s: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n",
+					point, got, want.EventsPerSec, floor)
+			}
+		}
+		for _, d := range costRatioDefs {
+			g, gok := ratios[point][d.name]
+			w, wok := want.CostRatios[d.name]
+			if !gok || !wok || w <= 0 {
+				continue
+			}
+			if ceiling := w * costRatioTolerance; g > ceiling {
+				fails = append(fails, fmt.Sprintf("%s: cost-counter inflation (more work per decision): %s %.1f scans/decision, ceiling %.1f (baseline %.1f)",
+					point, d.name, g, ceiling, w))
+			}
+		}
+	}
+	if len(fails) > 0 {
+		return fmt.Errorf("baseline %s:\n  %s", path, strings.Join(fails, "\n  "))
 	}
 	return nil
 }
@@ -238,7 +302,7 @@ func run(args []string, stdout io.Writer) error {
 	chaosReplay := fs.String("chaos-replay", "", "replay a minimized CHAOS.json repro instead of searching")
 	chaosBreak := fs.Bool("chaos-break-recovery", false, "disable map re-execution under the search, to prove the harness catches a broken recovery path")
 	scaleSweep := fs.Bool("scale-sweep", false, "run the controller-complexity scale sweep instead of the figure experiments")
-	sweepSizes := fs.String("sweep-sizes", "", "comma-separated total-PM counts for -scale-sweep (default 24,96,384)")
+	sweepSizes := fs.String("sweep-sizes", "", "comma-separated total-PM counts for -scale-sweep (default 24,96,384; datacenter points 2500,10000)")
 	sweepSeed := fs.Int64("sweep-seed", 1, "base seed for -scale-sweep")
 	perfOut := fs.String("perf-out", "PERF.json", "scale-sweep report path (with -scale-sweep)")
 	policySearch := fs.Bool("policy-search", false, "sweep the policy registry for the JCT/energy/SLA Pareto frontier instead of the figure experiments")
@@ -247,15 +311,40 @@ func run(args []string, stdout io.Writer) error {
 	searchSeed := fs.Int64("search-seed", 11, "scenario seed for -policy-search; every candidate runs the same seed")
 	searchOut := fs.String("search-out", "SEARCH.json", "policy-search report path (with -policy-search)")
 	searchReport := fs.String("search-report", "", "also write a policy-search observatory HTML to this path (with -policy-search)")
-	scaleUp := fs.Bool("scale-up", false, "run the datacenter-scale operating points instead of the figure experiments")
-	scaleUpSizes := fs.String("scale-up-sizes", "", "comma-separated total-PM counts for -scale-up (default 2500,10000)")
-	scaleUpOut := fs.String("scale-up-out", "SCALEUP.json", "scale-up report path (with -scale-up)")
 	progressOn := fs.Bool("progress", false, "print a live wall-clock heartbeat (completed points, events/sec, ETA) to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	profileDir := fs.String("profile-dir", "", "write cpu.pprof and mem.pprof into this directory (overrides -cpuprofile/-memprofile)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Each mode replaces the figure experiments, so two modes, or a mode
+	// plus a figure-only flag, would silently drop one of the requests.
+	type given struct {
+		name string
+		on   bool
+	}
+	modes := []given{
+		{"scale-sweep", *scaleSweep}, {"policy-search", *policySearch},
+		{"chaos-search", *chaosSearch}, {"chaos-replay", *chaosReplay != ""},
+	}
+	figureOnly := []given{{"check", *check}, {"json", *jsonOut}, {"only", *only != ""}, {"ext", *ext}}
+	mode := ""
+	for _, m := range modes {
+		if !m.on {
+			continue
+		}
+		if mode != "" {
+			return fmt.Errorf("-%s and -%s are separate modes; give one", mode, m.name)
+		}
+		mode = m.name
+	}
+	if mode != "" {
+		for _, f := range figureOnly {
+			if f.on {
+				return fmt.Errorf("-%s applies to the figure experiments, not to -%s", f.name, mode)
+			}
+		}
 	}
 	stopProfiles, err := perfstat.StartProfiles(*cpuprofile, *memprofile, *profileDir)
 	if err != nil {
@@ -293,43 +382,21 @@ func run(args []string, stdout io.Writer) error {
 		defer pr.Stop()
 	}
 
-	if *chaosReplay != "" {
-		if err := runChaosReplay(*chaosReplay, stdout); err != nil {
-			return err
+	if mode != "" {
+		switch mode {
+		case "chaos-replay":
+			err = runChaosReplay(*chaosReplay, stdout)
+		case "chaos-search":
+			err = runChaosSearch(*chaosSeed, *chaosBudget, *chaosBreak, *chaosOut, stdout)
+		case "scale-sweep":
+			var sizes []int
+			if sizes, err = parseSizes(*sweepSizes); err == nil {
+				err = runScaleSweep(sizes, *sweepSeed, *perfOut, *baselinePath, *writeBaseline, pr, stdout)
+			}
+		case "policy-search":
+			err = runPolicySearch(*searchGrid, *searchSamples, *searchSeed, *searchOut, *searchReport, *baselinePath, *writeBaseline, pr, stdout)
 		}
-		return stopProf()
-	}
-	if *chaosSearch {
-		if err := runChaosSearch(*chaosSeed, *chaosBudget, *chaosBreak, *chaosOut, stdout); err != nil {
-			return err
-		}
-		return stopProf()
-	}
-	if *scaleSweep {
-		sizes, err := parseSizes("sweep-sizes", *sweepSizes)
 		if err != nil {
-			return err
-		}
-		if err := runScaleSweep(sizes, *sweepSeed, *perfOut, pr, stdout); err != nil {
-			return err
-		}
-		return stopProf()
-	}
-	if *policySearch {
-		if err := runPolicySearch(*searchGrid, *searchSamples, *searchSeed, *searchOut, *searchReport, *baselinePath, *writeBaseline, pr, stdout); err != nil {
-			return err
-		}
-		return stopProf()
-	}
-	if *scaleUp {
-		sizes, err := parseSizes("scale-up-sizes", *scaleUpSizes)
-		if err != nil {
-			return err
-		}
-		if sizes == nil {
-			sizes = scalesweep.DefaultScaleUpSizes()
-		}
-		if err := runScaleUp(sizes, *sweepSeed, *scaleUpOut, *baselinePath, *writeBaseline, pr, stdout); err != nil {
 			return err
 		}
 		return stopProf()
@@ -406,11 +473,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *baselinePath != "" {
-		order := make([]string, 0, len(selected))
-		for _, e := range selected {
-			order = append(order, e.ID)
-		}
-		if err := handleBaseline(*baselinePath, *writeBaseline, *scale, order, measured, ratios, stdout); err != nil {
+		if err := handleBaseline(*baselinePath, *writeBaseline, *scale, measured, ratios, stdout); err != nil {
 			return err
 		}
 	}
@@ -430,9 +493,9 @@ func run(args []string, stdout io.Writer) error {
 	return stopProf()
 }
 
-// parseSizes parses the PM-count list given to the named flag
-// (-sweep-sizes or -scale-up-sizes); empty means the mode's defaults.
-func parseSizes(flagName, s string) ([]int, error) {
+// parseSizes parses the -sweep-sizes PM-count list; empty means the
+// sweep's default sizes.
+func parseSizes(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
@@ -440,17 +503,21 @@ func parseSizes(flagName, s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 2 {
-			return nil, fmt.Errorf("bad -%s entry %q", flagName, part)
+			return nil, fmt.Errorf("bad -sweep-sizes entry %q", part)
 		}
 		sizes = append(sizes, n)
 	}
 	return sizes, nil
 }
 
-// runScaleSweep runs the controller-complexity sweep and writes
-// PERF.json. The report section of the file is byte-deterministic; the
-// wall section is not, and determinism comparisons must strip it.
-func runScaleSweep(sizes []int, seed int64, outPath string, pr *progress.Reporter, stdout io.Writer) error {
+// runScaleSweep runs the weak-scaling scenario at each size and writes
+// PERF.json: its report section is byte-deterministic, its wall section
+// is not, and determinism comparisons must strip it. It prints one line
+// per point and the controller verdicts, fails if an indexed controller
+// grows past scalesweep.AcceptanceCeiling (verdicts exist only when two
+// or more sizes ran), and guards each point's events/sec ("pm<size>")
+// against the ledger at baselinePath.
+func runScaleSweep(sizes []int, seed int64, outPath, baselinePath string, writeBaseline bool, pr *progress.Reporter, stdout io.Writer) error {
 	if len(sizes) == 0 {
 		sizes = scalesweep.DefaultSweepSizes()
 	}
@@ -469,43 +536,7 @@ func runScaleSweep(sizes []int, seed int64, outPath string, pr *progress.Reporte
 	if err := os.WriteFile(outPath, data, 0o644); err != nil {
 		return fmt.Errorf("write %s: %w", outPath, err)
 	}
-	fmt.Fprintf(stdout, "Controller cost growth over cluster sizes %v (seed %d):\n", f.Report.Sizes, seed)
-	for _, c := range f.Report.Controllers {
-		flag := ""
-		if c.Superlinear {
-			flag = "  SUPERLINEAR"
-		}
-		fmt.Fprintf(stdout, "  %-8s %-10s driven by %-30s%s\n", c.Name, c.Complexity, c.DrivenBy, flag)
-	}
-	for _, w := range f.Wall {
-		fmt.Fprintf(stdout, "  size %4d ran in %.2fs wall time\n", w.Size, w.WallSeconds)
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", outPath)
-	return nil
-}
-
-// runScaleUp runs the weak-scaling scenario at synthetic
-// datacenter-scale operating points, writes the SCALEUP.json report
-// (same byte-deterministic layout as PERF.json), enforces the indexed
-// controllers' growth ceiling when more than one point ran, and guards
-// each point's events/sec against the baseline's scale_up floors.
-func runScaleUp(sizes []int, seed int64, outPath, baselinePath string, writeBaseline bool, pr *progress.Reporter, stdout io.Writer) error {
-	pr.SetTotal(int64(len(sizes)))
-	f, err := scalesweep.Run(scalesweep.Options{
-		Sizes: sizes, Seed: seed,
-		OnPointDone: func() { pr.Add(1) },
-	})
-	if err != nil {
-		return err
-	}
-	data, err := f.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Fprintf(stdout, "Scale-up suite over PM counts %v (seed %d):\n", f.Report.Sizes, seed)
+	fmt.Fprintf(stdout, "Scale sweep over PM counts %v (seed %d):\n", f.Report.Sizes, seed)
 	measured := make(map[string]float64, len(f.Wall))
 	for i, w := range f.Wall {
 		r := f.Report.Results[i]
@@ -517,74 +548,29 @@ func runScaleUp(sizes []int, seed int64, outPath, baselinePath string, writeBase
 		fmt.Fprintf(stdout, "  %5d PMs: %d trackers, %d jobs, %d events in %.2fs (%.0f events/sec)\n",
 			r.Size, r.Trackers, r.Jobs, r.EventsFired, w.WallSeconds, eps)
 	}
-	if len(f.Report.Sizes) >= 2 {
-		indexed := make(map[string]bool, len(scalesweep.IndexedControllers))
-		for _, name := range scalesweep.IndexedControllers {
-			indexed[name] = true
+	var busts []string
+	for _, c := range f.Report.Controllers {
+		note := ""
+		if c.Superlinear {
+			note = "  SUPERLINEAR"
 		}
-		var busts []string
-		for _, c := range f.Report.Controllers {
-			if !indexed[c.Name] {
-				continue
-			}
+		if slices.Contains(scalesweep.IndexedControllers, c.Name) {
 			if c.MaxExponent > scalesweep.AcceptanceCeiling {
-				busts = append(busts, fmt.Sprintf("%s grows %s via %s, ceiling O(n^%.1f)",
-					c.Name, c.Complexity, c.DrivenBy, scalesweep.AcceptanceCeiling))
+				note += "  PAST CEILING"
+				busts = append(busts, fmt.Sprintf("%s grows %s via %s", c.Name, c.Complexity, c.DrivenBy))
 			} else {
-				fmt.Fprintf(stdout, "  growth %-4s %s via %s (ceiling O(n^%.1f)) ok\n",
-					c.Name, c.Complexity, c.DrivenBy, scalesweep.AcceptanceCeiling)
+				note += fmt.Sprintf("  within O(n^%.1f)", scalesweep.AcceptanceCeiling)
 			}
 		}
-		if len(busts) > 0 {
-			return fmt.Errorf("scale-up growth regression (indexed controller past the ceiling):\n  %s",
-				strings.Join(busts, "\n  "))
-		}
+		fmt.Fprintf(stdout, "  %-8s %-10s driven by %-30s%s\n", c.Name, c.Complexity, c.DrivenBy, note)
 	}
 	fmt.Fprintf(stdout, "wrote %s\n", outPath)
+	if len(busts) > 0 {
+		return fmt.Errorf("growth regression (indexed controller past the O(n^%.1f) ceiling):\n  %s",
+			scalesweep.AcceptanceCeiling, strings.Join(busts, "\n  "))
+	}
 	if baselinePath != "" {
-		return handleScaleUpBaseline(baselinePath, writeBaseline, measured, stdout)
-	}
-	return nil
-}
-
-// handleScaleUpBaseline records or checks the per-point events/sec
-// floors of the scale-up suite. Writing rewrites only the scale_up
-// section; the scenario does not depend on -scale, so no scale
-// consistency check applies here.
-func handleScaleUpBaseline(path string, write bool, measured map[string]float64, stdout io.Writer) error {
-	if write {
-		if err := updateBaseline(path, func(b *baselineFile) { b.ScaleUp = measured }); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote scale-up floors for %d operating point(s) to %s\n", len(measured), path)
-		return nil
-	}
-	base, err := readBaseline(path)
-	if err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(measured))
-	for k := range measured {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var regressions []string
-	for _, k := range keys {
-		got := measured[k]
-		want, ok := base.ScaleUp[k]
-		if !ok || want <= 0 {
-			continue
-		}
-		floor := want / baselineTolerance
-		if got < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec, floor %.0f (baseline %.0f)", k, got, floor, want))
-		} else {
-			fmt.Fprintf(stdout, "throughput %s: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n", k, got, want, floor)
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("scale-up throughput regression:\n  %s", strings.Join(regressions, "\n  "))
+		return handleBaseline(baselinePath, writeBaseline, 0, measured, nil, stdout)
 	}
 	return nil
 }
@@ -594,7 +580,7 @@ func handleScaleUpBaseline(path string, write bool, measured map[string]float64,
 // -parallel 1 and -parallel 8 outputs directly), prints the scored
 // table, optionally renders a search observatory seeded with the
 // winner's audit trail, and guards the sweep's events/sec against the
-// baseline's policy_search floor.
+// ledger's "policy-search" floor.
 func runPolicySearch(gridName string, samples int, seed int64, outPath, reportPath, baselinePath string, writeBaseline bool, pr *progress.Reporter, stdout io.Writer) error {
 	var grid []policy.Spec
 	switch gridName {
@@ -680,35 +666,8 @@ func runPolicySearch(gridName string, samples int, seed int64, outPath, reportPa
 	}
 	fmt.Fprintf(stdout, "search fired %d events in %.2fs wall time (%.0f events/sec)\n", events, wall, eps)
 	if baselinePath != "" {
-		return handlePolicySearchBaseline(baselinePath, writeBaseline, eps, stdout)
+		return handleBaseline(baselinePath, writeBaseline, 0, map[string]float64{"policy-search": eps}, nil, stdout)
 	}
-	return nil
-}
-
-// handlePolicySearchBaseline records or checks the policy-search sweep's
-// events/sec floor. Writing rewrites only the policy_search section.
-func handlePolicySearchBaseline(path string, write bool, eps float64, stdout io.Writer) error {
-	if write {
-		if err := updateBaseline(path, func(b *baselineFile) { b.PolicySearch = eps }); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote policy-search floor (%.0f events/sec) to %s\n", eps, path)
-		return nil
-	}
-	base, err := readBaseline(path)
-	if err != nil {
-		return err
-	}
-	if base.PolicySearch <= 0 {
-		return nil
-	}
-	floor := base.PolicySearch / baselineTolerance
-	if eps < floor {
-		return fmt.Errorf("policy-search throughput regression: %.0f events/sec, floor %.0f (baseline %.0f)",
-			eps, floor, base.PolicySearch)
-	}
-	fmt.Fprintf(stdout, "throughput policy-search: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n",
-		eps, base.PolicySearch, floor)
 	return nil
 }
 
@@ -779,70 +738,4 @@ func printViolations(stdout io.Writer, vs []invariant.Violation) {
 		}
 		fmt.Fprintf(stdout, "  %s\n", v)
 	}
-}
-
-// handleBaseline either records this run's throughput as the new
-// baseline or compares against the committed one, failing on any
-// experiment that ran more than baselineTolerance times slower. Writing
-// rewrites only the scale, events_per_sec and cost_ratios sections.
-func handleBaseline(path string, write bool, scale float64, order []string, measured map[string]float64, ratios map[string]map[string]float64, stdout io.Writer) error {
-	if write {
-		err := updateBaseline(path, func(b *baselineFile) {
-			b.Scale, b.EventsPerSec, b.CostRatios = scale, measured, ratios
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote throughput baseline for %d experiment(s) to %s\n", len(measured), path)
-		return nil
-	}
-	base, err := readBaseline(path)
-	if err != nil {
-		return err
-	}
-	if base.Scale != scale {
-		return fmt.Errorf("baseline %s was recorded at scale %g, run at %g", path, base.Scale, scale)
-	}
-	var regressions []string
-	for _, id := range order {
-		got, ran := measured[id]
-		want, ok := base.EventsPerSec[id]
-		if !ran || !ok || want <= 0 {
-			continue
-		}
-		floor := want / baselineTolerance
-		if got < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec, floor %.0f (baseline %.0f)", id, got, floor, want))
-		} else {
-			fmt.Fprintf(stdout, "throughput %s: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n", id, got, want, floor)
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("throughput regression:\n  %s", strings.Join(regressions, "\n  "))
-	}
-	var inflations []string
-	for _, id := range order {
-		got, ran := ratios[id]
-		want, ok := base.CostRatios[id]
-		if !ran || !ok {
-			continue
-		}
-		for _, d := range costRatioDefs {
-			g, gok := got[d.name]
-			w, wok := want[d.name]
-			if !gok || !wok || w <= 0 {
-				continue
-			}
-			ceiling := w * costRatioTolerance
-			if g > ceiling {
-				inflations = append(inflations,
-					fmt.Sprintf("%s %s: %.1f scans/decision, ceiling %.1f (baseline %.1f)", id, d.name, g, ceiling, w))
-			}
-		}
-	}
-	if len(inflations) > 0 {
-		return fmt.Errorf("cost-counter inflation (scheduler doing more work per decision):\n  %s", strings.Join(inflations, "\n  "))
-	}
-	return nil
 }

@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
+
+var update = flag.Bool("update", false, "rewrite the goldens under ci/golden from this run")
 
 func TestUnknownExperimentIDErrors(t *testing.T) {
 	err := run([]string{"-only", "fig999"}, io.Discard)
@@ -75,37 +80,74 @@ func TestFidelityReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestBaselineGuard exercises both directions of the throughput
-// tripwire against a synthetic baseline file.
-func TestBaselineGuard(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.json")
-	measured := map[string]float64{"figX": 900}
-	order := []string{"figX"}
+// TestFidelityGolden pins the scale-0.1 fidelity verdicts to the
+// committed golden byte for byte; -update rewrites the golden from this
+// run.
+func TestFidelityGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	golden := filepath.Join("..", "..", "ci", "golden", "FIDELITY-scale0.1.json")
+	path := filepath.Join(t.TempDir(), "FIDELITY.json")
+	if err := run([]string{"-check", "-scale", "0.1", "-parallel", "8", "-fidelity-out", path}, io.Discard); err != nil {
+		t.Fatalf("-check -scale 0.1: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("FIDELITY.json differs from %s (rerun with -update only for a named behaviour change):\n%s", golden, got)
+	}
+}
 
-	if err := handleBaseline(path, true, 0.1, order, measured, nil, io.Discard); err != nil {
-		t.Fatalf("write baseline: %v", err)
-	}
-	// Same throughput: passes.
-	if err := handleBaseline(path, false, 0.1, order, measured, nil, io.Discard); err != nil {
-		t.Fatalf("equal throughput should pass: %v", err)
-	}
-	// A 2x slowdown stays inside the 3x tolerance.
-	if err := handleBaseline(path, false, 0.1, order, map[string]float64{"figX": 450}, nil, io.Discard); err != nil {
-		t.Fatalf("2x slowdown should pass: %v", err)
-	}
-	// A >3x slowdown trips the guard.
-	err := handleBaseline(path, false, 0.1, order, map[string]float64{"figX": 250}, nil, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "throughput regression") {
-		t.Fatalf("4x slowdown should trip the guard, got %v", err)
-	}
-	// Experiments absent from the baseline are skipped, not failed.
-	if err := handleBaseline(path, false, 0.1, []string{"figY"}, map[string]float64{"figY": 1}, nil, io.Discard); err != nil {
-		t.Fatalf("unknown experiment should be skipped: %v", err)
-	}
-	// A scale mismatch refuses to compare apples to oranges.
-	if err := handleBaseline(path, false, 1.0, order, measured, nil, io.Discard); err == nil {
-		t.Fatal("scale mismatch should error")
+// TestBaselineGuard exercises both directions of the throughput
+// tripwire for each kind of ledger point: a figure recorded at a scale,
+// a scale-sweep size and the policy search, whose scenarios ignore
+// -scale.
+func TestBaselineGuard(t *testing.T) {
+	for _, tc := range []struct {
+		point string
+		scale float64
+	}{{"figX", 0.1}, {"pm2500", 0}, {"policy-search", 0}} {
+		t.Run(tc.point, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "base.json")
+			check := func(eps float64) error {
+				return handleBaseline(path, false, tc.scale, map[string]float64{tc.point: eps}, nil, io.Discard)
+			}
+			if err := handleBaseline(path, true, tc.scale, map[string]float64{tc.point: 900}, nil, io.Discard); err != nil {
+				t.Fatalf("write baseline: %v", err)
+			}
+			// Same throughput passes; a 2x slowdown stays inside the 3x
+			// tolerance.
+			for _, eps := range []float64{900, 450} {
+				if err := check(eps); err != nil {
+					t.Fatalf("%.0f events/sec should pass: %v", eps, err)
+				}
+			}
+			// A >3x slowdown trips the guard.
+			if err := check(250); err == nil || !strings.Contains(err.Error(), "throughput regression") {
+				t.Fatalf("4x slowdown should trip the guard, got %v", err)
+			}
+			// Points absent from the ledger are skipped, not failed.
+			if err := handleBaseline(path, false, tc.scale, map[string]float64{"figY": 1}, nil, io.Discard); err != nil {
+				t.Fatalf("unknown point should be skipped: %v", err)
+			}
+			// A scale mismatch refuses to compare apples to oranges.
+			if err := handleBaseline(path, false, 1.0, map[string]float64{tc.point: 900}, nil, io.Discard); err == nil {
+				t.Fatal("scale mismatch should error")
+			}
+		})
 	}
 }
 
@@ -115,78 +157,58 @@ func TestCostRatioGuard(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.json")
 	measured := map[string]float64{"figX": 900}
-	order := []string{"figX"}
 	ratioName := costRatioDefs[0].name
 	base := map[string]map[string]float64{"figX": {ratioName: 100}}
 
-	if err := handleBaseline(path, true, 0.1, order, measured, base, io.Discard); err != nil {
+	if err := handleBaseline(path, true, 0.1, measured, base, io.Discard); err != nil {
 		t.Fatalf("write baseline: %v", err)
 	}
 	// Equal and improved (lower) ratios pass; so does a wobble inside
 	// the 1.5x ceiling.
 	for _, ok := range []float64{100, 60, 149} {
 		got := map[string]map[string]float64{"figX": {ratioName: ok}}
-		if err := handleBaseline(path, false, 0.1, order, measured, got, io.Discard); err != nil {
+		if err := handleBaseline(path, false, 0.1, measured, got, io.Discard); err != nil {
 			t.Fatalf("ratio %.0f should pass: %v", ok, err)
 		}
 	}
 	// Inflation past the ceiling trips the guard.
 	got := map[string]map[string]float64{"figX": {ratioName: 151}}
-	err := handleBaseline(path, false, 0.1, order, measured, got, io.Discard)
+	err := handleBaseline(path, false, 0.1, measured, got, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "cost-counter inflation") {
 		t.Fatalf("inflated ratio should trip the guard, got %v", err)
 	}
 	// Ratios absent from the baseline (new experiments, counters that
 	// did not engage) are skipped, not failed.
 	missing := map[string]map[string]float64{"figY": {ratioName: 9999}}
-	if err := handleBaseline(path, false, 0.1, order, measured, missing, io.Discard); err != nil {
+	if err := handleBaseline(path, false, 0.1, measured, missing, io.Discard); err != nil {
 		t.Fatalf("unknown ratio rows should be skipped: %v", err)
 	}
 }
 
-// TestWriteBaselineKeepsOtherSections seeds a baseline file with every
-// section, runs each -write-baseline path in turn and requires every
-// section that path does not own to survive byte for byte.
+// TestWriteBaselineKeepsOtherSections seeds a ledger with entries of
+// every kind, runs each mode with -write-baseline in turn and requires
+// the mode to rewrite exactly the points it measured, leaving every
+// other entry byte for byte.
 func TestWriteBaselineKeepsOtherSections(t *testing.T) {
-	seed := baselineFile{
-		Scale:        0.1,
-		EventsPerSec: map[string]float64{"fig1a": 123456.5, "fig5a": 98765.25},
-		CostRatios:   map[string]map[string]float64{"fig5a": {costRatioDefs[0].name: 3.5}},
-		ScaleUp:      map[string]float64{"pm2500": 54321.75},
-		PolicySearch: 67890.125,
+	seed := baselineLedger{
+		"fig1a":         {EventsPerSec: 123456.5, Scale: 0.1},
+		"fig5a":         {EventsPerSec: 98765.25, Scale: 0.1, CostRatios: map[string]float64{costRatioDefs[0].name: 3.5}},
+		"pm8":           {EventsPerSec: 4321.5},
+		"pm2500":        {EventsPerSec: 54321.75},
+		"policy-search": {EventsPerSec: 67890.125},
 	}
-	owned := map[string][]string{
-		"figures":       {"scale", "events_per_sec", "cost_ratios"},
-		"scale-up":      {"scale_up"},
-		"policy-search": {"policy_search"},
-	}
-	write := map[string]func(path string) error{
-		"figures": func(path string) error {
-			return handleBaseline(path, true, 0.25, []string{"fig2a"},
-				map[string]float64{"fig2a": 1}, map[string]map[string]float64{"fig2a": {costRatioDefs[1].name: 2}}, io.Discard)
-		},
-		"scale-up": func(path string) error {
-			return handleScaleUpBaseline(path, true, map[string]float64{"pm10000": 2}, io.Discard)
-		},
-		"policy-search": func(path string) error {
-			return handlePolicySearchBaseline(path, true, 3, io.Discard)
-		},
-	}
-	sections := func(t *testing.T, path string) map[string]json.RawMessage {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	for mode, fn := range write {
-		t.Run(mode, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "base.json")
+	for _, tc := range []struct {
+		mode  string
+		args  []string
+		owned []string
+	}{
+		{"figures", []string{"-only", "fig5a", "-scale", "0.1"}, []string{"fig5a"}},
+		{"scale-sweep", []string{"-scale-sweep", "-sweep-sizes", "8,16"}, []string{"pm8", "pm16"}},
+		{"policy-search", []string{"-policy-search"}, []string{"policy-search"}},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "base.json")
 			data, err := json.MarshalIndent(seed, "", "  ")
 			if err != nil {
 				t.Fatal(err)
@@ -194,49 +216,103 @@ func TestWriteBaselineKeepsOtherSections(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			before := sections(t, path)
-			if len(before) != 5 {
-				t.Fatalf("seeded %d sections, want 5", len(before))
+			before := ledgerEntries(t, path)
+			args := append(tc.args, "-baseline", path, "-write-baseline",
+				"-perf-out", filepath.Join(dir, "PERF.json"), "-search-out", filepath.Join(dir, "SEARCH.json"))
+			if err := run(args, io.Discard); err != nil {
+				t.Fatalf("%v: %v", args, err)
 			}
-			if err := fn(path); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			after := sections(t, path)
+			after := ledgerEntries(t, path)
 			mine := map[string]bool{}
-			for _, k := range owned[mode] {
+			for _, k := range tc.owned {
 				mine[k] = true
-				if bytes.Equal(before[k], after[k]) {
-					t.Errorf("%s did not rewrite its own section %q", mode, k)
+				if after[k] == nil || bytes.Equal(before[k], after[k]) {
+					t.Errorf("%s did not record its own point %q", tc.mode, k)
 				}
 			}
 			for k, v := range before {
 				if !mine[k] && !bytes.Equal(v, after[k]) {
-					t.Errorf("%s changed section %q: %s -> %s", mode, k, v, after[k])
+					t.Errorf("%s changed entry %q: %s -> %s", tc.mode, k, v, after[k])
+				}
+			}
+			for k := range after {
+				if before[k] == nil && !mine[k] {
+					t.Errorf("%s added an entry it did not measure: %q", tc.mode, k)
 				}
 			}
 		})
 	}
 }
 
+// ledgerEntries reads the ledger at path as raw per-point JSON.
+func ledgerEntries(t *testing.T, path string) map[string]json.RawMessage {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestCommittedBaselineParses keeps bench-baseline.json readable by the
+// ledger schema, with a positive floor on every entry and a scale on
+// exactly the figure points.
+func TestCommittedBaselineParses(t *testing.T) {
+	base, err := readBaseline(filepath.Join("..", "..", "bench-baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for point, e := range base {
+		if e.EventsPerSec <= 0 {
+			t.Errorf("%s: no events/sec floor", point)
+		}
+		if _, fig := experiments.ByID(point); fig != (e.Scale > 0) {
+			t.Errorf("%s: scale %g, want one only on figure experiments", point, e.Scale)
+		}
+	}
+}
+
 // TestParseSizesNamesItsFlag checks that a bad size list is reported
-// against the flag it came from.
+// against -sweep-sizes.
 func TestParseSizesNamesItsFlag(t *testing.T) {
+	for _, sizes := range []string{"4,x", "1"} {
+		err := run([]string{"-scale-sweep", "-sweep-sizes", sizes}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "bad -sweep-sizes entry") {
+			t.Errorf("-sweep-sizes %s: error %v does not name the flag", sizes, err)
+		}
+	}
+}
+
+// TestConflictingModesRejected: modes replace the figure experiments,
+// so combining two of them, or one with a figure-only flag, must fail
+// before anything runs and name both flags.
+func TestConflictingModesRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		flag string
+		a, b string
 	}{
-		{[]string{"-scale-sweep", "-sweep-sizes", "4,x"}, "-sweep-sizes"},
-		{[]string{"-scale-up", "-scale-up-sizes", "4,x"}, "-scale-up-sizes"},
-		{[]string{"-scale-up", "-scale-up-sizes", "1"}, "-scale-up-sizes"},
+		{[]string{"-scale-sweep", "-chaos-search"}, "-scale-sweep", "-chaos-search"},
+		{[]string{"-policy-search", "-scale-sweep"}, "-scale-sweep", "-policy-search"},
+		{[]string{"-chaos-search", "-chaos-replay", "x.json"}, "-chaos-search", "-chaos-replay"},
+		{[]string{"-policy-search", "-chaos-replay", "x.json"}, "-policy-search", "-chaos-replay"},
+		{[]string{"-check", "-scale-sweep"}, "-check", "-scale-sweep"},
+		{[]string{"-json", "-policy-search"}, "-json", "-policy-search"},
+		{[]string{"-only", "fig1a", "-chaos-search"}, "-only", "-chaos-search"},
+		{[]string{"-ext", "-chaos-replay", "x.json"}, "-ext", "-chaos-replay"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil {
 			t.Errorf("%v: want an error", tc.args)
 			continue
 		}
-		want := "bad " + tc.flag + " entry"
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("%v: error %q does not contain %q", tc.args, err, want)
+		for _, name := range []string{tc.a, tc.b} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%v: error %q does not name %s", tc.args, err, name)
+			}
 		}
 	}
 }

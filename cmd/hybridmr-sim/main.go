@@ -1,7 +1,7 @@
 // Command hybridmr-sim drives the simulated hybrid data center and can
 // record a structured trace of everything that happens inside it.
 //
-// Four modes:
+// Three modes:
 //
 //   - The default "quickstart" scenario assembles a hybrid cluster
 //     (native + virtual partitions), deploys RUBiS, runs Sort and PiEst
@@ -16,10 +16,6 @@
 //     TaskTrackers, corrupts DFS replicas and injects stragglers. The run
 //     verifies that every job completes and the DFS heals back to target
 //     replication, and prints the fault seed so any run can be replayed.
-//   - "scaleup" mode runs the scale sweep's weak-scaling scenario at a
-//     single datacenter-scale operating point (-pms, default 2500) and
-//     prints the deterministic cost counters — a quick probe of how the
-//     indexed controllers behave at sizes far past the paper's testbed.
 //
 // Usage:
 //
@@ -34,7 +30,6 @@
 //	hybridmr-sim -benchmark Sort -pms 12 -vms-per-pm 2 -policy p2=locality-p2
 //	hybridmr-sim -scenario chaos -seed 7 -fault-seed 99
 //	hybridmr-sim -scenario chaos -faults pm-crash=4,block-loss=12,repair-sec=90
-//	hybridmr-sim -scenario scaleup -pms 10000
 //	hybridmr-sim -benchmark Sort -pms 48 -profile-dir prof/
 //	hybridmr-sim -scenario chaos -timeseries ts.jsonl -slo slo.json -progress
 //
@@ -83,7 +78,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -100,7 +94,6 @@ import (
 	"repro/internal/perfstat"
 	"repro/internal/progress"
 	"repro/internal/report"
-	"repro/internal/scalesweep"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/timeseries"
@@ -199,6 +192,21 @@ func suffixed(path, suffix string) string {
 	return strings.TrimSuffix(path, ext) + suffix + ext
 }
 
+// writeFile creates path, lets body write it and closes it. A failed
+// body still closes the file; otherwise the Close error is returned, so
+// a write that fails only on close is not lost.
+func writeFile(path string, body func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := body(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // finish writes every requested output for one run. The report and the
 // audit export are written before the wall-clock throughput gauge is
 // set, so their bytes depend only on simulated state; eventsPerSec <= 0
@@ -239,15 +247,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 			d.SLORows = sloRows
 		}
 		path := suffixed(o.cfg.reportFile, o.suffix)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := report.Write(f, d); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return report.Write(w, d) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nreport: %s (%d trace events, %d audit records, %d jobs profiled)\n",
@@ -255,36 +255,22 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 	}
 	if o.cfg.auditFile != "" {
 		path := suffixed(o.cfg.auditFile, o.suffix)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := o.sc.Audit.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(path, o.sc.Audit.WriteJSONL); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\naudit: %d decisions -> %s\n", o.sc.Audit.Len(), path)
 	}
 	if o.cfg.tsFile != "" {
 		path := suffixed(o.cfg.tsFile, o.suffix)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
 		// Series windows first, then the SLO evaluation rows (when -slo is
 		// on): one JSONL stream carries the full windowed record.
-		if err := o.sc.TimeSeries.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := timeseries.WriteSLOJSONL(f, sloRows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		err := writeFile(path, func(w io.Writer) error {
+			if err := o.sc.TimeSeries.WriteJSONL(w); err != nil {
+				return err
+			}
+			return timeseries.WriteSLOJSONL(w, sloRows)
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\ntimeseries: %d windows x %.0fs -> %s\n",
@@ -309,15 +295,10 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 	}
 	if o.cfg.traceFile != "" {
 		path := suffixed(o.cfg.traceFile, o.suffix)
-		f, err := os.Create(path)
+		err := writeFile(path, func(w io.Writer) error {
+			return o.sc.Trace.Write(w, trace.ExportFormat(o.cfg.traceFormat))
+		})
 		if err != nil {
-			return err
-		}
-		if err := o.sc.Trace.Write(f, trace.ExportFormat(o.cfg.traceFormat)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\ntrace: %d events -> %s (%s format)\n", o.sc.Trace.Len(), path, o.cfg.traceFormat)
@@ -331,7 +312,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hybridmr-sim", flag.ContinueOnError)
-	scenario := fs.String("scenario", "", "scenario: quickstart (default), job, chaos or scaleup")
+	scenario := fs.String("scenario", "", "scenario: quickstart (default), job or chaos")
 	bench := fs.String("benchmark", "Sort", "benchmark name or comma-separated list (Twitter, Wcount, PiEst, DistGrep, Sort, Kmeans)")
 	parallel := fs.Int("parallel", 0, "worker goroutines for a multi-benchmark job list (0 = GOMAXPROCS)")
 	dataGB := fs.Float64("data-gb", 0, "input size in GB (0 = the paper's size for the benchmark)")
@@ -364,11 +345,8 @@ func run(args []string, out io.Writer) error {
 	// An explicit -benchmark keeps the pre-scenario CLI working: it
 	// implies job mode unless the user also picked a scenario.
 	mode := *scenario
-	pmsSet, schedSet := false, false
+	schedSet := false
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "pms" {
-			pmsSet = true
-		}
 		if f.Name == "scheduler" {
 			schedSet = true
 		}
@@ -384,15 +362,12 @@ func run(args []string, out io.Writer) error {
 	// immediately with the registered names, instead of surfacing after
 	// setup already ran.
 	switch mode {
-	case "quickstart", "job", "chaos", "scaleup":
+	case "quickstart", "job", "chaos":
 	default:
-		return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos, scaleup)", mode)
+		return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos)", mode)
 	}
 	var policies *hybridmr.PolicySet
 	if *policyFlag != "" {
-		if mode == "scaleup" {
-			return fmt.Errorf("-policy does not apply to the scaleup scenario")
-		}
 		pspec, err := hybridmr.ParsePolicySpec(*policyFlag)
 		if err != nil {
 			return err
@@ -453,15 +428,9 @@ func run(args []string, out io.Writer) error {
 			}
 			pr.Stop()
 			return ro.finish(out, throughput())
-		case "scaleup":
-			size := *pms
-			if !pmsSet {
-				size = scalesweep.DefaultScaleUpSizes()[0]
-			}
-			return runScaleUpPoint(size, *seed, out)
 		default:
 			// Unreachable: the mode was validated before setup.
-			return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos, scaleup)", mode)
+			return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos)", mode)
 		}
 	}()
 	// The profiles must cover the whole run, so they stop only after the
@@ -670,37 +639,6 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 	}
 	ro.snapPerf(rig.Perf)
 	ro.simEnd = rig.Engine.Now()
-	return nil
-}
-
-// runScaleUpPoint runs the scale sweep's weak-scaling scenario at one
-// datacenter-scale operating point (-pms PMs, default the suite's
-// 2500-PM smoke point) and prints its deterministic outcome plus the
-// perfstat cost counters. The counter block is byte-identical across
-// runs with the same seed and size; only the wall-time line varies.
-func runScaleUpPoint(size int, seed int64, out io.Writer) error {
-	res, wall, err := scalesweep.RunPoint(size, scalesweep.Options{Seed: seed})
-	if err != nil {
-		return err
-	}
-	eps := 0.0
-	if wall.WallSeconds > 0 {
-		eps = float64(res.EventsFired) / wall.WallSeconds
-	}
-	fmt.Fprintf(out, "scale-up point: %d PMs (seed %d)\n", res.Size, seed)
-	fmt.Fprintf(out, "trackers:     %d\n", res.Trackers)
-	fmt.Fprintf(out, "jobs:         %d (all completed)\n", res.Jobs)
-	fmt.Fprintf(out, "events fired: %d\n", res.EventsFired)
-	fmt.Fprintf(out, "wall time:    %.2fs (%.0f events/sec)\n", wall.WallSeconds, eps)
-	names := make([]string, 0, len(res.Counters))
-	for name := range res.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(out, "cost counters:")
-	for _, name := range names {
-		fmt.Fprintf(out, "  %-34s %d\n", name, res.Counters[name])
-	}
 	return nil
 }
 

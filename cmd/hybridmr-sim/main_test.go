@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the goldens under ci/golden from this run")
 
 // runToTrace runs the quickstart scenario writing a trace, and returns
 // the trace bytes.
@@ -345,10 +348,41 @@ func TestQuickstartAuditJSONLParsesAndIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestQuickstartAuditGolden pins the default quickstart's decision log
+// to the committed golden byte for byte; -update rewrites the golden
+// from this run.
+func TestQuickstartAuditGolden(t *testing.T) {
+	golden := filepath.Join("..", "..", "ci", "golden", "quickstart-audit.jsonl")
+	path := filepath.Join(t.TempDir(), "audit.jsonl")
+	if err := run([]string{"-audit", path}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("run -audit: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("quickstart audit differs from %s (rerun with -update only for a named behaviour change)", golden)
+	}
+}
+
 func TestUnknownScenarioRejected(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-scenario", "nope"}, &out); err == nil {
-		t.Fatal("unknown scenario accepted")
+	// scaleup is not a sim scenario: hybridmr-bench -scale-sweep runs it.
+	for _, name := range []string{"nope", "scaleup"} {
+		var out bytes.Buffer
+		if err := run([]string{"-scenario", name}, &out); err == nil {
+			t.Errorf("unknown scenario %q accepted", name)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package progress prints a live wall-clock heartbeat for long runs:
 // completed fraction, simulated time, events fired, events/sec and an
-// ETA, on stderr. It exists for the human watching a -scale-up sweep, so
+// ETA, on stderr. It exists for the human watching a long -scale-sweep, so
 // everything it prints is wall-clock-derived and must never enter a
 // deterministic artifact. The engine's state is not goroutine-safe; the
 // only engine value the reporter reads from its own goroutine is the

@@ -46,11 +46,6 @@ const AcceptanceCeiling = 1.2
 // IndexedControllers names the controllers covered by AcceptanceCeiling.
 var IndexedControllers = []string{"jt", "drm", "p1"}
 
-// DefaultScaleUpSizes are the synthetic datacenter-scale operating
-// points the -scale-up suite runs: 2.5k PMs (CI-speed smoke) and 10k
-// PMs (the full datacenter point).
-func DefaultScaleUpSizes() []int { return []int{2500, 10000} }
-
 // DefaultSweepSizes are the controller-complexity sweep's geometric
 // cluster sizes, used when Options.Sizes is empty.
 func DefaultSweepSizes() []int { return []int{24, 96, 384} }
@@ -186,9 +181,9 @@ func Run(opts Options) (File, error) {
 }
 
 // RunPoint runs the sweep's weak-scaling scenario at a single cluster
-// size and returns its deterministic result and wall timing — the
-// single-operating-point entry used by the scale-up suite and the sim
-// CLI's scaleup scenario.
+// size and returns its deterministic result and wall timing — the same
+// result Run reports for that size, for callers that time one operating
+// point on its own.
 func RunPoint(size int, opts Options) (SizeResult, WallResult, error) {
 	return runSize(size, opts.withDefaults())
 }

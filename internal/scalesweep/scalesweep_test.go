@@ -8,14 +8,14 @@ import (
 	"repro/internal/experiments"
 )
 
-// sweepReportJSON runs a small sweep at the given parallelism and
+// sweepReportJSON runs a sweep at the given sizes and parallelism and
 // returns only the deterministic report section's bytes.
-func sweepReportJSON(t *testing.T, parallel int) []byte {
+func sweepReportJSON(t *testing.T, sizes []int, parallel int) []byte {
 	t.Helper()
 	prev := experiments.Parallelism
 	experiments.Parallelism = parallel
 	defer func() { experiments.Parallelism = prev }()
-	f, err := Run(Options{Sizes: []int{8, 16, 32}, Seed: 1})
+	f, err := Run(Options{Sizes: sizes, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +28,15 @@ func sweepReportJSON(t *testing.T, parallel int) []byte {
 
 // TestReportDeterministicAcrossParallelism pins the tentpole guarantee:
 // the counter/exponent section of PERF.json is byte-identical whether
-// sizes run serially or fan out across workers.
+// sizes run serially or fan out across workers, at small sizes and at
+// the 1250/2500-PM datacenter points.
 func TestReportDeterministicAcrossParallelism(t *testing.T) {
-	serial := sweepReportJSON(t, 1)
-	parallel := sweepReportJSON(t, 8)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("sweep report differs between -parallel 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	for _, sizes := range [][]int{{8, 16, 32}, {1250, 2500}} {
+		serial := sweepReportJSON(t, sizes, 1)
+		parallel := sweepReportJSON(t, sizes, 8)
+		if !bytes.Equal(serial, parallel) {
+			t.Errorf("sizes %v: sweep report differs between -parallel 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", sizes, serial, parallel)
+		}
 	}
 }
 
